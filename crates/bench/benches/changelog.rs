@@ -23,7 +23,6 @@ fn entries(n: usize) -> Vec<ChangeLogEntry> {
                 }
             },
             timestamp: i as u64,
-            size_delta: if i % 3 == 2 { -1 } else { 1 },
         })
         .collect()
 }

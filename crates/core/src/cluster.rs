@@ -386,7 +386,7 @@ impl Cluster {
     }
 
     /// Installs `count` files named `f0..f{count-1}` in an already preloaded
-    /// directory, updating the directory's entry list and size.
+    /// directory, updating the directory's entry list.
     pub fn preload_files(&mut self, dir_path: &str, prefix: &str, count: usize) {
         let (dir_key, dir_id) = self
             .preloaded_dirs
@@ -411,7 +411,6 @@ impl Cluster {
                 },
             );
         }
-        self.servers[content_owner.0 as usize].preload_dir_size(&dir_key, count as u64);
     }
 
     /// Checkpoints every server's volatile state into its durable bundle.

@@ -15,11 +15,13 @@
 //!   flushed before its effects escape onto the network, or a torn-tail
 //!   crash replays an asymmetric prefix.
 //!
-//! Each is a named rule producing `file:line` diagnostics; a fourth rule
+//! Each is a named rule producing `file:line` diagnostics. A fourth rule
 //! (`event-coverage`) keeps the observability vocabulary honest by
 //! requiring every `obs::EventKind` variant to be emitted somewhere outside
-//! `crates/obs`. Findings are suppressible with a justified comment on the
-//! preceding (or same) line:
+//! `crates/obs`, and a fifth (`dedup-under-lock`) keeps the change-log
+//! duplicate check inside the one directory-update gate, which runs under
+//! the fp-group write lock. Findings are suppressible with a justified
+//! comment on the preceding (or same) line:
 //!
 //! ```text
 //! // switchfs-lint: allow(determinism) alias definition site, hasher is explicit
@@ -51,16 +53,20 @@ pub const RULE_DETERMINISM: &str = "determinism";
 pub const RULE_PERSIST: &str = "persist-ordering";
 /// Rule id: every `EventKind` variant must be emitted outside `crates/obs`.
 pub const RULE_EVENT_COVERAGE: &str = "event-coverage";
+/// Rule id: the change-log duplicate check runs only inside the
+/// directory-update gate.
+pub const RULE_DEDUP: &str = "dedup-under-lock";
 /// Rule id for problems with suppression directives themselves (malformed,
 /// or missing the required justification). Not suppressible.
 pub const RULE_DIRECTIVE: &str = "lint-directive";
 
-/// All four code rules, in reporting order.
+/// All five code rules, in reporting order.
 pub const ALL_RULES: &[&str] = &[
     RULE_BORROW,
     RULE_DETERMINISM,
     RULE_PERSIST,
     RULE_EVENT_COVERAGE,
+    RULE_DEDUP,
 ];
 
 /// One diagnostic.
@@ -149,7 +155,8 @@ const EXCLUDED_CRATES: &[&str] = &["compat", "lint"];
 const WALL_CLOCK_CRATES: &[&str] = &["bench"];
 
 /// Lints a single file's source. `rules` selects the per-file rules;
-/// event-coverage is workspace-level and handled by [`lint_workspace`].
+/// dedup-under-lock always runs; event-coverage is workspace-level and
+/// handled by [`lint_workspace`].
 /// Returned findings have empty `file` fields and are not yet
 /// suppression-filtered — [`apply_suppressions`] does that.
 pub fn lint_source(source: &str, rules: RuleSet) -> (Vec<Finding>, Vec<Directive>) {
@@ -165,6 +172,7 @@ pub fn lint_source(source: &str, rules: RuleSet) -> (Vec<Finding>, Vec<Directive
     if rules.persist_ordering {
         rules::persist_ordering(&tokens, &mut findings);
     }
+    rules::dedup_under_lock(&tokens, &mut findings);
     (findings, directives)
 }
 

@@ -3,7 +3,9 @@
 //! correlates across files.
 
 use crate::lexer::{TokKind, Token};
-use crate::{Finding, RULE_BORROW, RULE_DETERMINISM, RULE_EVENT_COVERAGE, RULE_PERSIST};
+use crate::{
+    Finding, RULE_BORROW, RULE_DEDUP, RULE_DETERMINISM, RULE_EVENT_COVERAGE, RULE_PERSIST,
+};
 
 // ---------------------------------------------------------------------------
 // borrow-across-await
@@ -564,6 +566,60 @@ fn check_fn_persist(body: &[Token], findings: &mut Vec<Finding>) {
                 ),
             )),
             _ => {}
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// dedup-under-lock
+// ---------------------------------------------------------------------------
+
+/// The directory-update gate: the only function allowed to consult the
+/// change-log duplicate-suppression set.
+pub const DEDUP_GATE_FN: &str = "apply_dir_updates";
+
+/// The duplicate check the gate owns.
+const DEDUP_CHECK_FN: &str = "entry_already_applied";
+
+/// Keeps the change-log duplicate check inside the directory-update gate.
+/// The gate's caller holds the fingerprint-group write lock, so the check,
+/// the effects and the logged apply are one critical section; a check made
+/// anywhere else (typically before the lock is awaited) lets a second copy
+/// of an entry pass before the first is recorded — the check-then-act
+/// window that re-applied duplicate remote directory updates.
+pub fn dedup_under_lock(tokens: &[Token], findings: &mut Vec<Finding>) {
+    // (body start, body end, fn name) of every fn with a body; nested fns
+    // sit inside their parent's range, so the innermost range wins.
+    let fns: Vec<(usize, usize, &str)> = (0..tokens.len())
+        .filter(|&i| tokens[i].is_ident("fn"))
+        .filter_map(|i| {
+            let name = tokens.get(i + 1).filter(|t| t.kind == TokKind::Ident)?;
+            let (start, end) = fn_body(tokens, i)?;
+            Some((start, end, name.text.as_str()))
+        })
+        .collect();
+    for k in 1..tokens.len() {
+        let is_call = tokens[k].is_ident(DEDUP_CHECK_FN)
+            && (tokens[k - 1].is_punct('.') || tokens[k - 1].is_punct(':'))
+            && tokens.get(k + 1).is_some_and(|t| t.is_punct('('));
+        if !is_call {
+            continue;
+        }
+        let enclosing = fns
+            .iter()
+            .filter(|(start, end, _)| (*start..*end).contains(&k))
+            .min_by_key(|(start, end, _)| end - start)
+            .map(|(_, _, name)| *name);
+        if enclosing != Some(DEDUP_GATE_FN) {
+            findings.push(Finding::new(
+                RULE_DEDUP,
+                tokens[k].line,
+                format!(
+                    "`{DEDUP_CHECK_FN}` called outside `{DEDUP_GATE_FN}`; the duplicate \
+                     check must run in the gate, under the fp-group write lock, or a \
+                     second copy of an entry can pass it before the first is applied"
+                ),
+            ));
         }
     }
 }

@@ -8,8 +8,8 @@ use std::path::Path;
 
 use switchfs_lint::lexer::{lex, strip_cfg_test};
 use switchfs_lint::{
-    apply_suppressions, lint_source, rules, Finding, RuleSet, RULE_BORROW, RULE_DETERMINISM,
-    RULE_DIRECTIVE, RULE_EVENT_COVERAGE, RULE_PERSIST,
+    apply_suppressions, lint_source, rules, Finding, RuleSet, RULE_BORROW, RULE_DEDUP,
+    RULE_DETERMINISM, RULE_DIRECTIVE, RULE_EVENT_COVERAGE, RULE_PERSIST,
 };
 
 fn fixture(name: &str) -> String {
@@ -116,6 +116,32 @@ fn persist_allow_fixture_suppresses() {
     let (kept, suppressed) = run("persist_allow.rs");
     assert!(kept.is_empty(), "allow directive ignored: {kept:?}");
     assert_eq!(rules_of(&suppressed), vec![RULE_PERSIST]);
+}
+
+// ------------------------------------------------------- dedup-under-lock ---
+
+#[test]
+fn dedup_trip_fixture_trips() {
+    let (kept, _) = run("dedup_trip.rs");
+    let hits: Vec<_> = kept.iter().filter(|f| f.rule == RULE_DEDUP).collect();
+    assert_eq!(
+        hits.len(),
+        2,
+        "method-call and path-call checks outside the gate must both trip: {hits:?}"
+    );
+}
+
+#[test]
+fn dedup_pass_fixture_passes() {
+    let (kept, _) = run("dedup_pass.rs");
+    assert!(kept.is_empty(), "clean fixture flagged: {kept:?}");
+}
+
+#[test]
+fn dedup_allow_fixture_suppresses() {
+    let (kept, suppressed) = run("dedup_allow.rs");
+    assert!(kept.is_empty(), "allow directive ignored: {kept:?}");
+    assert_eq!(rules_of(&suppressed), vec![RULE_DEDUP]);
 }
 
 // --------------------------------------------------------- event-coverage ---

@@ -87,21 +87,8 @@ pub enum EventKind {
     /// A change-log push (proactive or aggregation-driven) left this node.
     ChangeLogPush { dir: u64, entries: u32 },
     /// An entry-list mutation was applied to a directory's sharded content.
-    /// `batch` groups the applies that landed in one WAL record together
-    /// with their [`EventKind::SizeDelta`]. `changed` is whether the entry
-    /// count actually moved: an insert that overwrote an existing name, or
-    /// a remove of an absent name, applies without changing the count —
-    /// exactly the cases a size counter kept elsewhere can drift on.
-    EntryApply {
-        batch: u64,
-        dir: u64,
-        insert: bool,
-        changed: bool,
-    },
-    /// A directory inode's size counter moved by `delta` in batch `batch`
-    /// (recorded on the directory owner; entry applies may land on other
-    /// servers, so matching is per-dir across nodes, not per-batch).
-    SizeDelta { batch: u64, dir: u64, delta: i64 },
+    /// `batch` groups the applies that landed in one WAL record.
+    EntryApply { batch: u64, dir: u64, insert: bool },
     /// The origin server retired one holder-confirmed change-log entry.
     DiscardConfirm { entry: OpId },
     /// Migration froze a shard on the source (requests start dropping).
@@ -119,18 +106,7 @@ pub enum EventKind {
     /// Mirrors [`EventKind::EntryApply`] (with the LSN standing in for the
     /// live path's batch id) so a trace dump can line the replayed applies
     /// up against the pre-crash ones per directory.
-    RecoveryEntryApply {
-        lsn: u64,
-        dir: u64,
-        insert: bool,
-        changed: bool,
-    },
-    /// Recovery moved a directory inode's size counter by `delta` while
-    /// replaying WAL record `lsn`. Mirrors [`EventKind::SizeDelta`]; the
-    /// pair gives the replay path the same per-effect visibility the live
-    /// path has — exactly where an eventless replay can hide a ±1 statdir
-    /// divergence between asymmetric flushed prefixes.
-    RecoverySizeDelta { lsn: u64, dir: u64, delta: i64 },
+    RecoveryEntryApply { lsn: u64, dir: u64, insert: bool },
 }
 
 /// A bounded per-node FIFO ring of recent [`TraceEvent`]s.
@@ -210,7 +186,7 @@ impl FlightRecorder {
 }
 
 /// The per-cluster observability state: an enable switch, the flight
-/// recorder, and the batch-id allocator for apply/size-delta grouping.
+/// recorder, and the batch-id allocator for entry-apply grouping.
 ///
 /// Shared as an [`ObsHandle`] (`Rc<Obs>`) by every server, client, and the
 /// harness; single-threaded like the rest of the simulation.
@@ -218,9 +194,9 @@ impl FlightRecorder {
 pub struct Obs {
     enabled: Cell<bool>,
     recorder: FlightRecorder,
-    /// Monotonic batch ids handed to appliers so a size-delta event can be
-    /// matched to exactly the entry-apply events it covered. Bumped only
-    /// while enabled, so disabled runs perform no writes at all.
+    /// Monotonic batch ids handed to appliers so the entry-apply events of
+    /// one WAL record can be grouped together. Bumped only while enabled,
+    /// so disabled runs perform no writes at all.
     batch_seq: Cell<u64>,
 }
 

@@ -245,10 +245,10 @@ fn arb_changelog_entry() -> impl Strategy<Value = ChangeLogEntry> {
         arb_op_id(),
         arb_dir_id(),
         arb_name(),
-        (any::<bool>(), any::<u16>(), any::<u64>(), any::<i64>()),
+        (any::<bool>(), any::<u16>(), any::<u64>()),
     )
         .prop_map(
-            |(entry_id, dir, name, (ins, mode, timestamp, size_delta))| ChangeLogEntry {
+            |(entry_id, dir, name, (ins, mode, timestamp))| ChangeLogEntry {
                 entry_id,
                 dir,
                 name,
@@ -261,7 +261,6 @@ fn arb_changelog_entry() -> impl Strategy<Value = ChangeLogEntry> {
                     ChangeOp::Remove
                 },
                 timestamp,
-                size_delta,
             },
         )
 }

@@ -240,7 +240,6 @@ mod tests {
                 mode: 0o644,
             },
             timestamp: seq,
-            size_delta: 1,
         }
     }
 

@@ -29,7 +29,7 @@ use switchfs_proto::message::{
 };
 use switchfs_proto::{
     ChangeLogEntry, ClientId, DirEntry, DirId, DirtyRet, DirtySetOp, DirtyState, FileType,
-    Fingerprint, FsError, InodeAttrs, MetaKey, OpId, ServerId, Timestamps, TraceId,
+    Fingerprint, FsError, InodeAttrs, MetaKey, OpId, ServerId, TraceId,
 };
 use switchfs_simnet::sync::oneshot;
 use switchfs_simnet::{timeout, CpuPool, Endpoint, NodeId, SimHandle, SimTime};
@@ -454,11 +454,6 @@ impl ServerInner {
         if emptied {
             self.entries.delete(&dir);
         }
-    }
-
-    /// True if `dir` currently lists an entry called `name`.
-    pub fn entry_exists(&self, dir: &DirId, name: &str) -> bool {
-        self.entries.peek(dir).is_some_and(|c| c.contains(name))
     }
 
     /// The cached response of a completed operation, if still retained.
@@ -1558,48 +1553,9 @@ impl Server {
             };
             let mut inner = self.inner.borrow_mut();
             for e in &record.effects {
-                if obs_on {
-                    match e {
-                        KvEffect::PutInode(key, attrs)
-                            if attrs.file_type == FileType::Directory =>
-                        {
-                            let old = inner.inodes.peek(key).map_or(0, |a| a.size as i64);
-                            let delta = attrs.size as i64 - old;
-                            if delta != 0 {
-                                self.trace_event(
-                                    trace,
-                                    EventKind::SizeDelta {
-                                        batch,
-                                        dir: attrs.id.hash64(),
-                                        delta,
-                                    },
-                                );
-                            }
-                        }
-                        KvEffect::PutEntry(dir, entry) => {
-                            self.trace_event(
-                                trace,
-                                EventKind::EntryApply {
-                                    batch,
-                                    dir: dir.hash64(),
-                                    insert: true,
-                                    changed: !inner.entry_exists(dir, &entry.name),
-                                },
-                            );
-                        }
-                        KvEffect::DeleteEntry(dir, name) => {
-                            self.trace_event(
-                                trace,
-                                EventKind::EntryApply {
-                                    batch,
-                                    dir: dir.hash64(),
-                                    insert: false,
-                                    changed: inner.entry_exists(dir, name),
-                                },
-                            );
-                        }
-                        _ => {}
-                    }
+                if let Some((dir, insert)) = e.entry_target().filter(|_| obs_on) {
+                    let kind = EventKind::EntryApply { batch, dir, insert };
+                    self.trace_event(trace, kind);
                 }
                 inner.apply_effect(e);
             }
@@ -1736,17 +1692,6 @@ impl Server {
         self.inner.borrow_mut().put_entry(dir, entry);
     }
 
-    /// Directly bumps a preloaded directory's entry count so `statdir`
-    /// reports a size consistent with preloaded entries.
-    pub fn preload_dir_size(&self, key: &MetaKey, size: u64) {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(attrs) = inner.inodes.peek(key).cloned() {
-            let mut attrs = attrs;
-            attrs.size = size;
-            inner.inodes.put(key.clone(), attrs);
-        }
-    }
-
     /// Generates a fresh directory id.
     pub(crate) fn fresh_dir_id(&self) -> DirId {
         let mut inner = self.inner.borrow_mut();
@@ -1761,7 +1706,6 @@ impl Server {
         parent_id: DirId,
         name: &str,
         op: switchfs_proto::ChangeOp,
-        size_delta: i64,
     ) -> ChangeLogEntry {
         ChangeLogEntry {
             entry_id: op_id,
@@ -1769,64 +1713,21 @@ impl Server {
             name: name.to_string(),
             op,
             timestamp: self.now_ns(),
-            size_delta,
         }
-    }
-
-    /// Applies a single change-log entry to a locally-owned directory inode
-    /// and entry list, returning the KV effects (shared by the aggregation,
-    /// push, fallback and baseline remote-update paths).
-    pub(crate) fn entry_effects(&self, dir_key: &MetaKey, entry: &ChangeLogEntry) -> Vec<KvEffect> {
-        let mut effects = Vec::new();
-        let inner = self.inner.borrow();
-        let Some(attrs) = inner.inodes.peek(dir_key) else {
-            return effects;
-        };
-        let mut attrs = attrs.clone();
-        // The size delta only applies when the entry's presence actually
-        // changes: a rename overwriting an existing name re-puts the entry
-        // (no growth), and a remove of an already-absent name must not
-        // shrink the directory below its entry count.
-        let target_exists = inner.entry_exists(&entry.dir, &entry.name);
-        let effective_delta = match entry.op {
-            switchfs_proto::ChangeOp::Insert { .. } if target_exists => 0,
-            switchfs_proto::ChangeOp::Remove if !target_exists => 0,
-            _ => entry.size_delta,
-        };
-        attrs.size = (attrs.size as i64 + effective_delta).max(0) as u64;
-        let mut times = Timestamps::at(entry.timestamp);
-        times.atime = attrs.times.atime;
-        attrs.times.merge_max(&times);
-        effects.push(KvEffect::PutInode(dir_key.clone(), attrs));
-        match entry.op {
-            switchfs_proto::ChangeOp::Insert { file_type, mode } => {
-                effects.push(KvEffect::PutEntry(
-                    entry.dir,
-                    DirEntry {
-                        name: entry.name.clone(),
-                        file_type,
-                        mode,
-                    },
-                ));
-            }
-            switchfs_proto::ChangeOp::Remove => {
-                effects.push(KvEffect::DeleteEntry(entry.dir, entry.name.clone()));
-            }
-        }
-        effects
     }
 
     /// Reads a directory's attributes and entries for `readdir`, charging the
     /// per-entry scan cost. The listing is shared (`Rc`), not copied: the
     /// same allocation flows into the response, the duplicate-suppression
-    /// cache and every in-flight packet copy.
+    /// cache and every in-flight packet copy. The reported size is the
+    /// listing's length.
     pub(crate) async fn read_listing(
         &self,
         key: &MetaKey,
     ) -> Option<(InodeAttrs, Rc<Vec<DirEntry>>)> {
         let (attrs, entries) = {
             let mut inner = self.inner.borrow_mut();
-            let attrs = inner.inodes.get(key)?;
+            let mut attrs = inner.inodes.get(key)?;
             if attrs.file_type != FileType::Directory {
                 return None;
             }
@@ -1837,6 +1738,7 @@ impl Server {
                 Some(content) => content.listing(),
                 None => Rc::new(Vec::new()),
             };
+            attrs.size = entries.len() as u64;
             (attrs, entries)
         };
         let scan_cost = self.cfg.costs.readdir_per_entry * entries.len().max(1) as u64;

@@ -81,8 +81,14 @@ impl Server {
                 None => OpResult::Err(FsError::NotFound),
             }
         } else {
-            match self.inner.borrow_mut().inodes.get(key) {
-                Some(attrs) if attrs.is_dir() => OpResult::Attrs(attrs),
+            let mut inner = self.inner.borrow_mut();
+            match inner.inodes.get(key) {
+                Some(mut attrs) if attrs.is_dir() => {
+                    // The size is derived from the entry list; the peek
+                    // keeps the read billed as the single inode get.
+                    attrs.size = inner.entries.peek(&attrs.id).map_or(0, |c| c.len()) as u64;
+                    OpResult::Attrs(attrs)
+                }
                 Some(_) => OpResult::Err(FsError::NotADirectory),
                 None => OpResult::Err(FsError::NotFound),
             }
@@ -91,13 +97,12 @@ impl Server {
 
     /// Runs one aggregation for a fingerprint group this server owns.
     ///
-    /// The caller must hold the fingerprint-group write lock. Returns the
-    /// number of change-log entries applied.
+    /// The caller must hold the fingerprint-group write lock.
     pub(crate) async fn aggregate_group(
         &self,
         fp: Fingerprint,
         invalidate: Option<(DirId, MetaKey)>,
-    ) -> usize {
+    ) {
         // Counted for the whole call — including the apply phase after the
         // collection completes — so a shard migration's drain barrier can
         // wait for every in-progress aggregation of the shard, not just
@@ -106,7 +111,7 @@ impl Server {
             let mut inner = self.inner.borrow_mut();
             *inner.active_aggs.entry(fp.raw()).or_insert(0) += 1;
         }
-        let applied = self.aggregate_group_counted(fp, invalidate).await;
+        self.aggregate_group_counted(fp, invalidate).await;
         {
             let mut inner = self.inner.borrow_mut();
             if let Some(c) = inner.active_aggs.get_mut(&fp.raw()) {
@@ -116,14 +121,9 @@ impl Server {
                 }
             }
         }
-        applied
     }
 
-    async fn aggregate_group_counted(
-        &self,
-        fp: Fingerprint,
-        invalidate: Option<(DirId, MetaKey)>,
-    ) -> usize {
+    async fn aggregate_group_counted(&self, fp: Fingerprint, invalidate: Option<(DirId, MetaKey)>) {
         let costs = self.cfg.costs;
         let others = self.cfg.other_servers();
         let agg_id = self.next_token();
@@ -221,19 +221,15 @@ impl Server {
             }
         }
 
-        // Filter out anything already applied (duplicate aggregations,
+        // The gate drops anything already applied (duplicate aggregations,
         // re-sent entries).
         let local_ids: Vec<OpId> = local_entries.iter().map(|e| e.entry_id).collect();
-        let mut entries: Vec<ChangeLogEntry> = Vec::new();
-        {
-            let inner = self.inner.borrow();
-            for e in local_entries.into_iter().chain(remote_entries) {
-                if !inner.entry_already_applied(&e.entry_id) {
-                    entries.push(e);
-                }
-            }
-        }
-        let applied = self.apply_entries_to_owned_dirs(fp, &entries).await;
+        let mut entries = local_entries;
+        entries.extend(remote_entries);
+        let applied_ids = self
+            .apply_dir_updates(DirUpdates::Deferred(entries))
+            .await
+            .unwrap_or_default();
 
         // Acknowledge the responders so they can mark their entries applied
         // and release their change-log locks (§5.2.2 steps 9a/9b).
@@ -244,7 +240,7 @@ impl Server {
             );
         }
         // The owner's own deferred entries for this group are now applied.
-        let own_ids: FxHashSet<OpId> = entries.iter().map(|e| e.entry_id).collect();
+        let own_ids: FxHashSet<OpId> = applied_ids.into_iter().collect();
         {
             let mut inner = self.inner.borrow_mut();
             inner.changelogs.discard_applied_in_group(fp, &own_ids);
@@ -266,7 +262,6 @@ impl Server {
             let mut inner = self.inner.borrow_mut();
             inner.queue_discard_confirm(me, me, now, local_ids);
         }
-        applied
     }
 
     /// Sends the aggregation request according to the tracking mode: through
@@ -309,17 +304,65 @@ impl Server {
         }
     }
 
-    /// Applies change-log entries to the directories of a fingerprint group
-    /// owned by this server, with or without compaction depending on the
-    /// update mode (Fig. 14's "+Async" vs "+Compaction").
-    pub(crate) async fn apply_entries_to_owned_dirs(
+    /// The one place a directory update is applied.
+    ///
+    /// The caller holds the write lock of the directory's fingerprint group
+    /// (`self.locks.fp_group`). That lock is exclusive, so the duplicate
+    /// filter, the translation into KV effects and the logged apply all run
+    /// without a check-then-act window: a second copy of an entry waiting
+    /// on the lock finds the first one already recorded and is skipped,
+    /// along with its CPU charge.
+    ///
+    /// Returns the ids applied by this call (duplicates excluded; deferred
+    /// entries of a removed directory count as applied). A single update
+    /// whose directory inode is missing fails with `NotFound` and is not
+    /// recorded.
+    pub(crate) async fn apply_dir_updates(
         &self,
-        _fp: Fingerprint,
-        entries: &[ChangeLogEntry],
-    ) -> usize {
-        if entries.is_empty() {
-            return 0;
+        update: DirUpdates<'_>,
+    ) -> Result<Vec<OpId>, FsError> {
+        let (dir_key, entries) = match update {
+            DirUpdates::Single { dir_key, entry } => (Some(dir_key), vec![entry.clone()]),
+            DirUpdates::Deferred(entries) => (None, entries),
+        };
+        let inode_lock = dir_key.map(|key| self.locks.inode(key));
+        let _inode_guard = match &inode_lock {
+            Some(lock) => Some(lock.write().await),
+            None => None,
+        };
+        let fresh: Vec<ChangeLogEntry> = {
+            let inner = self.inner.borrow();
+            entries
+                .into_iter()
+                .filter(|e| !inner.entry_already_applied(&e.entry_id))
+                .collect()
+        };
+        let Some(dir_key) = dir_key else {
+            self.apply_deferred(&fresh).await;
+            return Ok(fresh.iter().map(|e| e.entry_id).collect());
+        };
+        let Some(entry) = fresh.first() else {
+            return Ok(Vec::new());
+        };
+        let costs = self.cfg.costs;
+        self.cpu
+            .run(costs.lock_op + costs.kv_get + costs.kv_put + costs.wal_append)
+            .await;
+        if self.inner.borrow().inodes.peek(dir_key).is_none() {
+            return Err(FsError::NotFound);
         }
+        let ops = [(&entry.name, entry.op)];
+        let effects = self.dir_effects(dir_key, entry.dir, entry.timestamp, ops);
+        self.apply_and_log(None, effects, None, vec![entry.entry_id])
+            .await;
+        Ok(vec![entry.entry_id])
+    }
+
+    /// Applies deduplicated change-log entries to the directories of a
+    /// fingerprint group owned by this server, with or without compaction
+    /// depending on the update mode (Fig. 14's "+Async" vs "+Compaction").
+    /// Only [`Server::apply_dir_updates`] calls this.
+    async fn apply_deferred(&self, entries: &[ChangeLogEntry]) {
         let costs = self.cfg.costs;
         // Group entries per directory by reference, preserving FIFO order
         // within each — nothing is cloned just to be regrouped.
@@ -330,7 +373,6 @@ impl Server {
                 None => per_dir.push((e.dir, vec![e])),
             }
         }
-        let mut applied = 0usize;
         for (dir, dir_entries) in per_dir {
             let dir_key = {
                 let inner = self.inner.borrow();
@@ -339,7 +381,6 @@ impl Server {
             let Some(dir_key) = dir_key else {
                 // The directory was removed; its deferred updates are moot,
                 // but they still count as consumed.
-                applied += dir_entries.len();
                 continue;
             };
             match self.cfg.update_mode {
@@ -350,34 +391,8 @@ impl Server {
                         inner.stats.entries_compacted_away += compacted.merged_entries as u64;
                     }
                     // One attribute update for the whole batch.
-                    let attr_effect = {
-                        let inner = self.inner.borrow();
-                        inner.inodes.peek(&dir_key).cloned().map(|mut attrs| {
-                            attrs.size = (attrs.size as i64 + compacted.size_delta).max(0) as u64;
-                            let mut t = Timestamps::at(compacted.max_timestamp);
-                            t.atime = attrs.times.atime;
-                            attrs.times.merge_max(&t);
-                            KvEffect::PutInode(dir_key.clone(), attrs)
-                        })
-                    };
-                    let mut effects: Vec<KvEffect> = attr_effect.into_iter().collect();
-                    for (name, op) in &compacted.entry_ops {
-                        match op {
-                            ChangeOp::Insert { file_type, mode } => {
-                                effects.push(KvEffect::PutEntry(
-                                    dir,
-                                    DirEntry {
-                                        name: name.clone(),
-                                        file_type: *file_type,
-                                        mode: *mode,
-                                    },
-                                ));
-                            }
-                            ChangeOp::Remove => {
-                                effects.push(KvEffect::DeleteEntry(dir, name.clone()));
-                            }
-                        }
-                    }
+                    let ops = compacted.entry_ops.iter().map(|(name, op)| (name, *op));
+                    let effects = self.dir_effects(&dir_key, dir, compacted.max_timestamp, ops);
                     // Entry-list mutations are spread across cores: different
                     // keys do not conflict, which is what restores
                     // intra-server parallelism (Fig. 14).
@@ -406,16 +421,47 @@ impl Server {
                     // serialization (the "+Async" bar of Fig. 14).
                     for e in &dir_entries {
                         self.cpu.run(costs.entry_apply + costs.kv_get).await;
-                        let effects = self.entry_effects(&dir_key, e);
+                        let effects =
+                            self.dir_effects(&dir_key, dir, e.timestamp, [(&e.name, e.op)]);
                         self.apply_and_log(None, effects, None, vec![e.entry_id])
                             .await;
                     }
                 }
             }
-            applied += dir_entries.len();
         }
-        self.inner.borrow_mut().stats.entries_applied += applied as u64;
-        applied
+        self.inner.borrow_mut().stats.entries_applied += entries.len() as u64;
+    }
+
+    /// The KV effects of entry-list ops on a locally-owned directory: one
+    /// timestamp bump of the directory inode (when present) plus one
+    /// mutation per op. The size is not touched — it is derived from the
+    /// entry list at read time.
+    fn dir_effects<'e>(
+        &self,
+        dir_key: &MetaKey,
+        dir: DirId,
+        timestamp: u64,
+        ops: impl IntoIterator<Item = (&'e String, ChangeOp)>,
+    ) -> Vec<KvEffect> {
+        let attrs = self.inner.borrow().inodes.peek(dir_key).cloned();
+        let bump = attrs.map(|mut attrs| {
+            let mut t = Timestamps::at(timestamp);
+            t.atime = attrs.times.atime;
+            attrs.times.merge_max(&t);
+            KvEffect::PutInode(dir_key.clone(), attrs)
+        });
+        let list = ops.into_iter().map(|(name, op)| match op {
+            ChangeOp::Insert { file_type, mode } => KvEffect::PutEntry(
+                dir,
+                DirEntry {
+                    name: name.clone(),
+                    file_type,
+                    mode,
+                },
+            ),
+            ChangeOp::Remove => KvEffect::DeleteEntry(dir, name.clone()),
+        });
+        bump.into_iter().chain(list).collect()
     }
 
     // ------------------------------------------------------------------
@@ -588,14 +634,8 @@ impl Server {
         let fpg = self.locks.fp_group(fp);
         let _w = fpg.write().await;
         let applied_ids: Vec<OpId> = entries.iter().map(|e| e.entry_id).collect();
-        let fresh: Vec<ChangeLogEntry> = {
-            let inner = self.inner.borrow();
-            entries
-                .into_iter()
-                .filter(|e| !inner.entry_already_applied(&e.entry_id))
-                .collect()
-        };
-        self.apply_entries_to_owned_dirs(fp, &fresh).await;
+        // Duplicates are acknowledged too: the holder may discard them.
+        let _ = self.apply_dir_updates(DirUpdates::Deferred(entries)).await;
         {
             let mut inner = self.inner.borrow_mut();
             inner.stats.pushes_received += 1;
@@ -774,6 +814,23 @@ impl Server {
     fn shutdown_requested(&self) -> bool {
         self.inner.borrow().shutdown
     }
+}
+
+/// One call of [`Server::apply_dir_updates`].
+pub(crate) enum DirUpdates<'a> {
+    /// One synchronous update of the directory inode at `dir_key` (overflow
+    /// fallback, remote update, local sync parent update, rename). Takes
+    /// the directory's inode lock and charges one lock + KV read/write +
+    /// WAL append before applying.
+    Single {
+        dir_key: &'a MetaKey,
+        entry: &'a ChangeLogEntry,
+    },
+    /// Deferred change-log entries of one fingerprint group (push and
+    /// aggregation), charged by the update mode's per-entry cost model
+    /// (Fig. 14). Takes no inode lock: `handle_rmdir` holds the target's
+    /// inode lock while it aggregates that directory.
+    Deferred(Vec<ChangeLogEntry>),
 }
 
 /// Splits `n` entry applications across `cores` chunks and returns the CPU

@@ -19,6 +19,7 @@ use switchfs_proto::{
 use switchfs_simnet::{timeout, NodeId};
 
 use crate::config::TrackingMode;
+use crate::server::aggregate::DirUpdates;
 use crate::server::{CommitSignal, Server};
 use crate::wal::KvEffect;
 
@@ -84,7 +85,6 @@ impl Server {
                         file_type: FileType::File,
                         mode: perm.mode,
                     },
-                    1,
                 );
                 (
                     vec![KvEffect::PutInode(key.clone(), attrs.clone())],
@@ -107,7 +107,7 @@ impl Server {
                 if file_type == FileType::Directory {
                     return Some(OpResult::Err(FsError::IsADirectory));
                 }
-                let entry = self.make_entry(req.op_id, parent.id, &key.name, ChangeOp::Remove, -1);
+                let entry = self.make_entry(req.op_id, parent.id, &key.name, ChangeOp::Remove);
                 (
                     vec![KvEffect::DeleteInode(key.clone())],
                     entry,
@@ -128,7 +128,6 @@ impl Server {
                         file_type: FileType::Directory,
                         mode: perm.mode,
                     },
-                    1,
                 );
                 (
                     vec![
@@ -285,21 +284,20 @@ impl Server {
         parent: &ParentRef,
         entry: &ChangeLogEntry,
     ) -> Result<(), FsError> {
-        let costs = self.cfg.costs;
         let owner = self.sync_dir_owner(parent);
         if owner == self.cfg.id {
-            // fp-group before inode, like every other dir-update applier:
-            // harmless in the pure-sync baselines (no aggregations run) but
-            // keeps the locking discipline uniform.
+            // The fp-group lock is the gate's precondition: harmless in the
+            // pure-sync baselines (no aggregations run) but keeps every
+            // directory update behind the same lock.
             let fpg = self.locks.fp_group(parent.fp);
             let _fpg_g = fpg.write().await;
-            let lock = self.locks.inode(&parent.key);
-            let _g = lock.write().await;
-            self.cpu
-                .run(costs.lock_op + costs.kv_get + costs.kv_put + costs.wal_append)
-                .await;
-            let effects = self.entry_effects(&parent.key, entry);
-            self.apply_and_log(None, effects, None, vec![entry.entry_id])
+            // A parent removed concurrently leaves nothing to update; the
+            // operation's local half stands.
+            let _ = self
+                .apply_dir_updates(DirUpdates::Single {
+                    dir_key: &parent.key,
+                    entry,
+                })
                 .await;
             // Applier and issuer are the same server and the operation's
             // own duplicate suppression covers re-execution: retire the id
@@ -452,7 +450,7 @@ impl Server {
         }
 
         // Commit the removal.
-        let entry = self.make_entry(req.op_id, parent.id, &key.name, ChangeOp::Remove, -1);
+        let entry = self.make_entry(req.op_id, parent.id, &key.name, ChangeOp::Remove);
         self.apply_and_log(
             Some(req.op_id),
             vec![
@@ -534,7 +532,7 @@ impl Server {
                     .await;
             }
         }
-        let entry = self.make_entry(req.op_id, parent.id, &key.name, ChangeOp::Remove, -1);
+        let entry = self.make_entry(req.op_id, parent.id, &key.name, ChangeOp::Remove);
         match self.sync_parent_update(parent, &entry).await {
             Ok(()) => OpResult::Done,
             Err(e) => OpResult::Err(e),
@@ -750,30 +748,16 @@ impl Server {
                 // retries against the current owner.
                 return;
             }
-            let costs = self.cfg.costs;
-            let already = self
-                .inner
-                .borrow()
-                .entry_already_applied(&fallback.entry.entry_id);
-            if !already {
-                // Serialize against the aggregation/push appliers, which
-                // hold the fingerprint-group write lock but not the inode
-                // lock: two appliers interleaving their read-modify-write
-                // of the directory inode across the WAL await would each
-                // compute the new size from the same snapshot and lose one
-                // delta (surfaces as a statdir-size ≠ listing divergence;
-                // disk-latency spikes widen the window). Lock order matches
-                // rmdir: fp-group before inode.
-                let fpg = self.locks.fp_group(fb_fp);
+            let fpg = self.locks.fp_group(fb_fp);
+            let applied = {
                 let _fpg_g = fpg.write().await;
-                let lock = self.locks.inode(&fallback.dir_key);
-                let _g = lock.write().await;
-                self.cpu
-                    .run(costs.lock_op + costs.kv_get + costs.kv_put + costs.wal_append)
-                    .await;
-                let effects = self.entry_effects(&fallback.dir_key, &fallback.entry);
-                self.apply_and_log(None, effects, None, vec![fallback.entry.entry_id])
-                    .await;
+                self.apply_dir_updates(DirUpdates::Single {
+                    dir_key: &fallback.dir_key,
+                    entry: &fallback.entry,
+                })
+                .await
+            };
+            if applied.is_ok_and(|ids| !ids.is_empty()) {
                 self.inner.borrow_mut().stats.remote_updates += 1;
             }
             self.send_plain(NodeId(fallback.client_node), Body::Response(response));
@@ -833,30 +817,20 @@ impl Server {
             );
             return;
         }
-        let already = self.inner.borrow().entry_already_applied(&entry.entry_id);
-        let result = if already {
-            Ok(())
-        } else {
-            // Same discipline as the overflow fallback above: exclude the
-            // fp-group appliers before touching the directory inode, or a
-            // concurrent aggregation apply loses this entry's size delta.
-            let fpg = self.locks.fp_group(upd_fp);
+        let fpg = self.locks.fp_group(upd_fp);
+        let applied = {
             let _fpg_g = fpg.write().await;
-            let lock = self.locks.inode(&dir_key);
-            let _g = lock.write().await;
-            self.cpu
-                .run(costs.lock_op + costs.kv_get + costs.kv_put + costs.wal_append)
-                .await;
-            if self.inner.borrow().inodes.peek(&dir_key).is_none() {
-                Err(FsError::NotFound)
-            } else {
-                let effects = self.entry_effects(&dir_key, &entry);
-                self.apply_and_log(None, effects, None, vec![entry.entry_id])
-                    .await;
-                self.inner.borrow_mut().stats.remote_updates += 1;
-                Ok(())
-            }
+            self.apply_dir_updates(DirUpdates::Single {
+                dir_key: &dir_key,
+                entry: &entry,
+            })
+            .await
         };
+        let result = applied.map(|ids| {
+            if !ids.is_empty() {
+                self.inner.borrow_mut().stats.remote_updates += 1;
+            }
+        });
         self.send_plain(
             src,
             Body::Server(ServerMsg::RemoteDirUpdateAck { req_id, result }),

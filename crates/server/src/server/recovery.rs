@@ -20,11 +20,11 @@
 
 use switchfs_obs::EventKind;
 use switchfs_proto::message::{Body, ServerMsg};
-use switchfs_proto::{FileType, Fingerprint, TraceId};
+use switchfs_proto::{Fingerprint, TraceId};
 
 use crate::server::rename::PreparedTxn;
 use crate::server::Server;
-use crate::wal::{CheckpointData, KvEffect, TxnMarker};
+use crate::wal::{CheckpointData, TxnMarker};
 
 /// Summary of one recovery run, reported to the harness (used by the §7.7
 /// experiment and asserted by the chaos checker).
@@ -171,51 +171,16 @@ impl Server {
                 };
                 let mut inner = self.inner.borrow_mut();
                 for e in &op.effects {
-                    // Per-effect replay events, peeked before the apply just
-                    // like the live path in `apply_and_log`: recorder-only
-                    // state, invisible to the replay digest.
-                    if obs_on {
-                        match e {
-                            KvEffect::PutInode(key, attrs)
-                                if attrs.file_type == FileType::Directory =>
-                            {
-                                let old = inner.inodes.peek(key).map_or(0, |a| a.size as i64);
-                                let delta = attrs.size as i64 - old;
-                                if delta != 0 {
-                                    self.trace_event(
-                                        trace,
-                                        EventKind::RecoverySizeDelta {
-                                            lsn: *lsn,
-                                            dir: attrs.id.hash64(),
-                                            delta,
-                                        },
-                                    );
-                                }
-                            }
-                            KvEffect::PutEntry(dir, entry) => {
-                                self.trace_event(
-                                    trace,
-                                    EventKind::RecoveryEntryApply {
-                                        lsn: *lsn,
-                                        dir: dir.hash64(),
-                                        insert: true,
-                                        changed: !inner.entry_exists(dir, &entry.name),
-                                    },
-                                );
-                            }
-                            KvEffect::DeleteEntry(dir, name) => {
-                                self.trace_event(
-                                    trace,
-                                    EventKind::RecoveryEntryApply {
-                                        lsn: *lsn,
-                                        dir: dir.hash64(),
-                                        insert: false,
-                                        changed: inner.entry_exists(dir, name),
-                                    },
-                                );
-                            }
-                            _ => {}
-                        }
+                    // Per-effect replay events, like the live path in
+                    // `apply_and_log`: recorder-only state, invisible to the
+                    // replay digest.
+                    if let Some((dir, insert)) = e.entry_target().filter(|_| obs_on) {
+                        let kind = EventKind::RecoveryEntryApply {
+                            lsn: *lsn,
+                            dir,
+                            insert,
+                        };
+                        self.trace_event(trace, kind);
                     }
                     inner.apply_effect(e);
                 }

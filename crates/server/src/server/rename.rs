@@ -17,6 +17,7 @@ use switchfs_proto::{
 };
 use switchfs_simnet::SimTime;
 
+use crate::server::aggregate::DirUpdates;
 use crate::server::{Server, TokenReply};
 use crate::wal::{KvEffect, TxnMarker};
 
@@ -152,9 +153,8 @@ impl Server {
                 let fpg = self.locks.fp_group(fp);
                 let _w = fpg.write().await;
                 self.aggregate_group(fp, None).await;
-                // The aggregation just mutated the source inode (entry-count
-                // and timestamps); re-read it so the migrated attributes are
-                // current.
+                // The aggregation just bumped the source inode's timestamps;
+                // re-read it so the migrated attributes are current.
                 if let Some(fresh) = self.inner.borrow_mut().inodes.get(src) {
                     src_attrs = fresh;
                 }
@@ -171,7 +171,6 @@ impl Server {
             name: src.name.clone(),
             op: ChangeOp::Remove,
             timestamp: now,
-            size_delta: -1,
         };
         let dst_parent_entry = ChangeLogEntry {
             entry_id: switchfs_proto::OpId {
@@ -187,7 +186,6 @@ impl Server {
                 mode: src_attrs.perm.mode,
             },
             timestamp: now,
-            size_delta: 1,
         };
 
         // Participant mutation lists, grouped by owning server. Ordered so
@@ -519,8 +517,8 @@ impl Server {
                         )
                         .await;
                     // Under grouping placement this server holds the
-                    // directory's *content* inode replica (the one whose
-                    // size tracks the entry list) under the old key; re-key
+                    // directory's *content* inode replica (the one stored
+                    // with the entry list) under the old key; re-key
                     // it so id-routed reads keep observing the live attrs.
                     let moved = {
                         let inner = self.inner.borrow();
@@ -576,13 +574,11 @@ impl Server {
                         if self.cfg.update_mode.is_async() {
                             self.aggregate_group(fp, None).await;
                         }
-                        let lock = self.locks.inode(&key);
-                        let _g = lock.write().await;
-                        self.cpu
-                            .run(costs.lock_op + costs.kv_get + costs.kv_put + costs.wal_append)
-                            .await;
-                        let effects = self.entry_effects(&key, entry);
-                        self.apply_and_log(None, effects, None, vec![entry.entry_id])
+                        let _ = self
+                            .apply_dir_updates(DirUpdates::Single {
+                                dir_key: &key,
+                                entry,
+                            })
                             .await;
                     }
                 }

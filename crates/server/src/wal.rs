@@ -31,6 +31,18 @@ pub enum KvEffect {
     Invalidate(DirId, MetaKey),
 }
 
+impl KvEffect {
+    /// For an entry-list effect, the trace fields of its apply: the
+    /// directory's hash and whether it inserts.
+    pub fn entry_target(&self) -> Option<(u64, bool)> {
+        match self {
+            KvEffect::PutEntry(dir, _) => Some((dir.hash64(), true)),
+            KvEffect::DeleteEntry(dir, _) => Some((dir.hash64(), false)),
+            _ => None,
+        }
+    }
+}
+
 /// A durable two-phase-commit marker (§5.4.2): the record that makes a
 /// participant's prepared state and a coordinator's commit decision survive
 /// a crash, so recovery can resolve in-doubt transactions instead of
@@ -281,7 +293,6 @@ mod tests {
                 mode: 0o644,
             },
             timestamp: 1,
-            size_delta: 1,
         }
     }
 

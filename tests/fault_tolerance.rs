@@ -1181,3 +1181,66 @@ fn crash_mid_decommission_resolves_from_wal_markers_and_converges() {
         }
     });
 }
+
+/// Regression: the same `RemoteDirUpdate` delivered twice — a sender's
+/// retransmission arriving while the first copy holds the directory's
+/// fingerprint-group write lock — must be applied once. The duplicate check
+/// used to run before the lock was awaited, so both copies passed it.
+#[test]
+fn duplicate_remote_dir_update_is_applied_once() {
+    use switchfs::proto::message::{Body, NetMsg, PacketSeq, ServerMsg};
+    use switchfs::proto::{ChangeLogEntry, ChangeOp, ClientId, DirId, FileType};
+    use switchfs::proto::{Fingerprint, MetaKey, OpId};
+    use switchfs::simnet::NodeId;
+
+    let mut cfg = ClusterConfig::paper_default(SystemKind::EmulatedCfs);
+    cfg.servers = 4;
+    cfg.clients = 1;
+    let cluster = Cluster::new(cfg);
+    let fp = Fingerprint::of_dir(&DirId::ROOT, "");
+    let owner = cluster.placement().dir_owner_by_fp(fp).0 as usize;
+    let owner_node = cluster.server_node_id(owner);
+    let entry_id = OpId {
+        client: ClientId(77),
+        seq: 1,
+    };
+    let msg = ServerMsg::RemoteDirUpdate {
+        req_id: 1,
+        dir_key: MetaKey::new(DirId::ROOT, ""),
+        entry: ChangeLogEntry {
+            entry_id,
+            dir: DirId::ROOT,
+            name: "twice".into(),
+            op: ChangeOp::Insert {
+                file_type: FileType::File,
+                mode: 0o644,
+            },
+            timestamp: 1,
+        },
+        discard_confirm: Vec::new(),
+    };
+    let ep = cluster.network().register(NodeId(7779));
+    let acks = cluster.block_on(async move {
+        for seq in 1..=2 {
+            let pkt = NetMsg::plain(PacketSeq { sender: 7779, seq }, Body::Server(msg.clone()));
+            ep.send(owner_node, pkt);
+        }
+        let mut acks = Vec::new();
+        while acks.len() < 2 {
+            let pkt = ep.recv().await.expect("network alive");
+            if let Body::Server(ServerMsg::RemoteDirUpdateAck { result, .. }) = pkt.payload.body {
+                acks.push(result);
+            }
+        }
+        acks
+    });
+    assert_eq!(acks, vec![Ok(()), Ok(())], "both copies are acknowledged");
+    assert_eq!(cluster.servers()[owner].stats().remote_updates, 1);
+    let durable = cluster.durable_state(owner);
+    let wal = &durable.borrow().wal;
+    let logged = wal
+        .records()
+        .iter()
+        .filter(|r| r.payload.applied_entry_ids.contains(&entry_id));
+    assert_eq!(logged.count(), 1, "one WAL record per applied entry");
+}
