@@ -11,7 +11,7 @@
 //! |---|---|---|---|
 //! | Emulated-InfiniFS | P/C grouping (per-directory hashing) | `create`/`delete` local, `mkdir`/`rmdir` cross-server | none |
 //! | Emulated-CFS | P/C separation (per-file hashing) | all cross-server, serialized at the parent's owner | none |
-//! | CephFS-like | P/C grouping (static subtree approximation) | as Emulated-InfiniFS | ~400 µs per op |
+//! | CephFS-like | P/C grouping (per-directory hashing) | as Emulated-InfiniFS | ~400 µs per op |
 //! | IndexFS-like | P/C grouping | as Emulated-InfiniFS | ~120 µs per op |
 //!
 //! SwitchFS itself (asynchronous updates, in-network dirty set) is configured

@@ -2,7 +2,7 @@
 
 use std::rc::Rc;
 
-use switchfs_client::{BaselineRouter, RequestRouter, SwitchFsRouter};
+use switchfs_client::Router;
 use switchfs_proto::{PartitionPolicy, ShardMap};
 use switchfs_server::{CostModel, UpdateMode};
 
@@ -58,10 +58,9 @@ impl SystemKind {
     pub fn partition_policy(&self) -> PartitionPolicy {
         match self {
             SystemKind::SwitchFs | SystemKind::EmulatedCfs => PartitionPolicy::PerFileHash,
-            SystemKind::EmulatedInfiniFs | SystemKind::IndexFsLike => {
+            SystemKind::EmulatedInfiniFs | SystemKind::IndexFsLike | SystemKind::CephFsLike => {
                 PartitionPolicy::PerDirectoryHash
             }
-            SystemKind::CephFsLike => PartitionPolicy::Subtree,
         }
     }
 
@@ -86,23 +85,16 @@ impl SystemKind {
     /// `dirty_query_in_packet` only matters for SwitchFS: it is true under
     /// in-network tracking and false when a dedicated coordinator or the
     /// owner server tracks directory state (§7.3.3 variants).
-    pub fn make_router(&self, map: ShardMap, dirty_query_in_packet: bool) -> Rc<dyn RequestRouter> {
-        match self {
-            SystemKind::SwitchFs => Rc::new(SwitchFsRouter::new(map, dirty_query_in_packet)),
-            SystemKind::EmulatedCfs => Rc::new(SwitchFsRouter::new(map, false)),
-            SystemKind::EmulatedInfiniFs | SystemKind::CephFsLike | SystemKind::IndexFsLike => {
-                Rc::new(BaselineRouter::new(map))
-            }
-        }
+    pub fn make_router(&self, map: ShardMap, dirty_query_in_packet: bool) -> Rc<Router> {
+        Rc::new(Router::new(
+            map,
+            self.uses_switch() && dirty_query_in_packet,
+        ))
     }
 
     /// Convenience for tests: a router over the epoch-0 map of `servers`
     /// servers.
-    pub fn make_router_for(
-        &self,
-        servers: usize,
-        dirty_query_in_packet: bool,
-    ) -> Rc<dyn RequestRouter> {
+    pub fn make_router_for(&self, servers: usize, dirty_query_in_packet: bool) -> Rc<Router> {
         self.make_router(
             ShardMap::initial(self.partition_policy(), servers),
             dirty_query_in_packet,
@@ -141,6 +133,10 @@ mod tests {
         assert_eq!(
             SystemKind::SwitchFs.partition_policy(),
             PartitionPolicy::PerFileHash
+        );
+        assert_eq!(
+            SystemKind::CephFsLike.partition_policy(),
+            PartitionPolicy::PerDirectoryHash
         );
     }
 

@@ -9,7 +9,8 @@
 //! and retry the whole operation, §5.2.1).
 //!
 //! The same LibFS drives both SwitchFS clusters and the emulated baselines —
-//! only the [`router::RequestRouter`] differs — mirroring the paper's setup
+//! only the placement policy inside the [`router::Router`]'s shard map
+//! differs — mirroring the paper's setup
 //! where all emulated systems share one client framework.
 
 pub mod cache;
@@ -18,4 +19,4 @@ pub mod router;
 
 pub use cache::{CachedDir, MetaCache};
 pub use libfs::{ClientStats, LibFs, LibFsConfig};
-pub use router::{BaselineRouter, RequestRouter, SwitchFsRouter};
+pub use router::Router;

@@ -8,8 +8,7 @@ use switchfs_client::{LibFs, LibFsConfig};
 use switchfs_obs::{MetricsRegistry, Obs, ObsHandle};
 use switchfs_proto::message::NetMsg;
 use switchfs_proto::{
-    ClientId, DirEntry, DirId, FileType, Fingerprint, MetaKey, PartitionPolicy, ServerId,
-    SharedPlacement,
+    ClientId, DirEntry, DirId, FileType, Fingerprint, MetaKey, ServerId, SharedPlacement,
 };
 use switchfs_server::server::recovery::RecoveryReport;
 use switchfs_server::{DurableState, Server, ServerConfig, TrackingMode};
@@ -58,7 +57,7 @@ impl Cluster {
         let handle = sim.handle();
         let network: Network<NetMsg> = Network::new(
             handle.clone(),
-            cfg.link_params,
+            switchfs_simnet::net::LinkParams::default(),
             cfg.net_faults,
             cfg.seed ^ 0xbeef,
         );
@@ -365,21 +364,14 @@ impl Cluster {
         let id = DirId::generate(ServerId(u32::MAX), self.preload_counter);
         let fp = Fingerprint::of_dir(&key.pid, &key.name);
 
-        match self.cfg.system.partition_policy() {
-            PartitionPolicy::PerFileHash => {
-                let owner = self.placement.dir_owner_by_fp(fp);
-                self.servers[owner.0 as usize].preload_dir(key.clone(), id, 0);
-            }
-            PartitionPolicy::PerDirectoryHash | PartitionPolicy::Subtree => {
-                // Access replica with the parent's children; content replica
-                // with the directory's own children.
-                let access = self.placement.file_owner(&key);
-                let content = self.placement.dir_owner_by_id(&id);
-                self.servers[access.0 as usize].preload_dir(key.clone(), id, 0);
-                if content != access {
-                    self.servers[content.0 as usize].preload_dir(key.clone(), id, 0);
-                }
-            }
+        // The directory inode where mkdir places it, plus the content
+        // replica with the directory's own children when that lives on
+        // another server (grouping only).
+        let inode = self.placement.inode_owner(&key, true);
+        let content = self.placement.dir_content_owner(fp, &id);
+        self.servers[inode.0 as usize].preload_dir(key.clone(), id, 0);
+        if content != inode {
+            self.servers[content.0 as usize].preload_dir(key.clone(), id, 0);
         }
         self.preloaded_dirs.insert(path.to_string(), (key, id));
         id
@@ -394,10 +386,7 @@ impl Cluster {
             .cloned()
             .unwrap_or_else(|| panic!("directory {dir_path} was not preloaded"));
         let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
-        let content_owner = match self.cfg.system.partition_policy() {
-            PartitionPolicy::PerFileHash => self.placement.dir_owner_by_fp(fp),
-            _ => self.placement.dir_owner_by_id(&dir_id),
-        };
+        let content_owner = self.placement.dir_content_owner(fp, &dir_id);
         for i in 0..count {
             let key = MetaKey::new(dir_id, format!("{prefix}{i}"));
             let owner = self.placement.file_owner(&key);

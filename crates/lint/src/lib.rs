@@ -18,10 +18,13 @@
 //! Each is a named rule producing `file:line` diagnostics. A fourth rule
 //! (`event-coverage`) keeps the observability vocabulary honest by
 //! requiring every `obs::EventKind` variant to be emitted somewhere outside
-//! `crates/obs`, and a fifth (`dedup-under-lock`) keeps the change-log
+//! `crates/obs`, a fifth (`dedup-under-lock`) keeps the change-log
 //! duplicate check inside the one directory-update gate, which runs under
-//! the fp-group write lock. Findings are suppressible with a justified
-//! comment on the preceding (or same) line:
+//! the fp-group write lock, and a sixth (`placement-in-one-module`) keeps
+//! placement decisions in the shard map: the client, core and server crates
+//! ask `ShardMap` where metadata lives instead of deciding it themselves.
+//! Findings are suppressible with a justified comment on the preceding (or
+//! same) line:
 //!
 //! ```text
 //! // switchfs-lint: allow(determinism) alias definition site, hasher is explicit
@@ -56,17 +59,20 @@ pub const RULE_EVENT_COVERAGE: &str = "event-coverage";
 /// Rule id: the change-log duplicate check runs only inside the
 /// directory-update gate.
 pub const RULE_DEDUP: &str = "dedup-under-lock";
+/// Rule id: placement decisions are made only in the shard map.
+pub const RULE_PLACEMENT: &str = "placement-in-one-module";
 /// Rule id for problems with suppression directives themselves (malformed,
 /// or missing the required justification). Not suppressible.
 pub const RULE_DIRECTIVE: &str = "lint-directive";
 
-/// All five code rules, in reporting order.
+/// All six code rules, in reporting order.
 pub const ALL_RULES: &[&str] = &[
     RULE_BORROW,
     RULE_DETERMINISM,
     RULE_PERSIST,
     RULE_EVENT_COVERAGE,
     RULE_DEDUP,
+    RULE_PLACEMENT,
 ];
 
 /// One diagnostic.
@@ -153,6 +159,12 @@ const EXCLUDED_CRATES: &[&str] = &["compat", "lint"];
 /// run time of the whole sweep by design — it drives the simulator but is
 /// not driven by it, so host-time reads there cannot perturb a replay.
 const WALL_CLOCK_CRATES: &[&str] = &["bench"];
+
+/// Crates that route, store and move metadata but must not decide where it
+/// lives: [`RULE_PLACEMENT`] always runs on them, and only on them (the
+/// shard map itself lives in `proto`, and `baselines` names each system's
+/// policy).
+const PLACEMENT_CALLER_CRATES: &[&str] = &["client", "core", "server"];
 
 /// Lints a single file's source. `rules` selects the per-file rules;
 /// dedup-under-lock always runs; event-coverage is workspace-level and
@@ -305,6 +317,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
             let (mut findings, directives) = lint_source(&source, rules);
             let Lexed { tokens, .. } = lex(&source);
             let tokens = strip_cfg_test(tokens);
+            if PLACEMENT_CALLER_CRATES.contains(&crate_name.as_str()) {
+                rules::placement_in_one_module(&tokens, &mut findings);
+            }
             if crate_name == "obs" {
                 let variants = rules::event_kind_variants(&tokens);
                 if !variants.is_empty() {

@@ -5,6 +5,7 @@
 use crate::lexer::{TokKind, Token};
 use crate::{
     Finding, RULE_BORROW, RULE_DEDUP, RULE_DETERMINISM, RULE_EVENT_COVERAGE, RULE_PERSIST,
+    RULE_PLACEMENT,
 };
 
 // ---------------------------------------------------------------------------
@@ -619,6 +620,43 @@ pub fn dedup_under_lock(tokens: &[Token], findings: &mut Vec<Finding>) {
                      check must run in the gate, under the fp-group write lock, or a \
                      second copy of an entry can pass it before the first is applied"
                 ),
+            ));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// placement-in-one-module
+// ---------------------------------------------------------------------------
+
+/// Keeps placement decisions in the shard map. A `PartitionPolicy` path or a
+/// `splitmix64` call in a crate that routes, stores or moves metadata is a
+/// placement decision re-made by hand; when such copies drift, a client, a
+/// server's ownership check and a shard migration disagree on where one
+/// piece of metadata lives. Run only on the caller crates (see
+/// `lint_workspace`).
+pub fn placement_in_one_module(tokens: &[Token], findings: &mut Vec<Finding>) {
+    for (k, t) in tokens.iter().enumerate() {
+        if t.is_ident("PartitionPolicy") {
+            findings.push(Finding::new(
+                RULE_PLACEMENT,
+                t.line,
+                "`PartitionPolicy` outside the shard map; ask `ShardMap` (`route`, \
+                 `dir_content_hash`, `inode_hashes`, `groups_children`, …) instead of \
+                 deciding placement by policy"
+                    .into(),
+            ));
+        }
+        let is_call = t.is_ident("splitmix64")
+            && tokens.get(k + 1).is_some_and(|n| n.is_punct('('))
+            && !(k > 0 && tokens[k - 1].is_ident("fn"));
+        if is_call {
+            findings.push(Finding::new(
+                RULE_PLACEMENT,
+                t.line,
+                "`splitmix64` placement hash outside the shard map; use \
+                 `ShardMap::shard_of_fp`, `dir_owner_by_fp` or `dir_content_hash`"
+                    .into(),
             ));
         }
     }

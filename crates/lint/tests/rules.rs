@@ -9,7 +9,7 @@ use std::path::Path;
 use switchfs_lint::lexer::{lex, strip_cfg_test};
 use switchfs_lint::{
     apply_suppressions, lint_source, rules, Finding, RuleSet, RULE_BORROW, RULE_DEDUP,
-    RULE_DETERMINISM, RULE_DIRECTIVE, RULE_EVENT_COVERAGE, RULE_PERSIST,
+    RULE_DETERMINISM, RULE_DIRECTIVE, RULE_EVENT_COVERAGE, RULE_PERSIST, RULE_PLACEMENT,
 };
 
 fn fixture(name: &str) -> String {
@@ -142,6 +142,34 @@ fn dedup_allow_fixture_suppresses() {
     let (kept, suppressed) = run("dedup_allow.rs");
     assert!(kept.is_empty(), "allow directive ignored: {kept:?}");
     assert_eq!(rules_of(&suppressed), vec![RULE_DEDUP]);
+}
+
+// ------------------------------------------------ placement-in-one-module ---
+
+/// Runs the placement rule over a fixture, as `lint_workspace` does for the
+/// client, core and server crates.
+fn run_placement(name: &str) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    rules::placement_in_one_module(&strip_cfg_test(lex(&fixture(name)).tokens), &mut findings);
+    findings
+}
+
+#[test]
+fn placement_trip_fixture_trips() {
+    let hits = run_placement("placement_trip.rs");
+    assert!(hits.iter().all(|f| f.rule == RULE_PLACEMENT));
+    let lines: Vec<u32> = hits.iter().map(|f| f.line).collect();
+    assert_eq!(
+        lines,
+        vec![4, 9, 9],
+        "the policy import, the policy match and the fingerprint hash must trip: {hits:?}"
+    );
+}
+
+#[test]
+fn placement_pass_fixture_passes() {
+    let hits = run_placement("placement_pass.rs");
+    assert!(hits.is_empty(), "clean fixture flagged: {hits:?}");
 }
 
 // --------------------------------------------------------- event-coverage ---

@@ -17,8 +17,8 @@
 //!   programmable switch, including its binary wire format (Fig. 9).
 //! * [`message`] — typed RPC requests, responses and server-to-server
 //!   protocol messages.
-//! * [`placement`] — partitioning policies mapping metadata objects to
-//!   servers (per-file hashing, per-directory hashing, subtree).
+//! * [`placement`] — the epoch-versioned shard map: the one place that
+//!   maps metadata objects to servers (per-file or per-directory hashing).
 //! * [`wire`] — binary encoding of the switch-visible packet headers.
 
 pub mod changelog;
@@ -38,5 +38,5 @@ pub use message::{
     AggregationPayload, Body, ClientRequest, ClientResponse, MetaOp, NetMsg, OpResult, ParentRef,
     ServerMsg, UdpPorts,
 };
-pub use placement::{HashPlacement, PartitionPolicy, Placement, ShardMap, SharedPlacement};
+pub use placement::{PartitionPolicy, ShardMap, SharedPlacement};
 pub use schema::{DirEntry, FileType, InodeAttrs, MetaKey, Permissions, Timestamps};

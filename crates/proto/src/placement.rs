@@ -1,22 +1,31 @@
-//! Metadata partitioning policies (§2.1, Tab. 1).
+//! Metadata placement (§2.1, §4.3, Tab. 1): the one module that decides
+//! which server stores a piece of metadata.
 //!
-//! * **P/C separation** (per-file hashing): every metadata object is placed
-//!   by hashing its `(pid, name)` key — the policy of CFS and SwitchFS.
+//! * **P/C separation** (per-file hashing): a file inode is placed by
+//!   hashing its `(pid, name)` key — the policy of CFS and SwitchFS.
 //!   SwitchFS additionally requires that all directories sharing a
-//!   fingerprint live on the same server, so *directory* inodes are placed
-//!   by fingerprint (which is itself a hash of `(pid, name)`).
+//!   fingerprint live on the same server, so a *directory* inode and its
+//!   entry list are placed by fingerprint (which is itself a hash of
+//!   `(pid, name)`).
 //! * **P/C grouping** (per-directory hashing): a directory's children are
 //!   colocated with the directory's entry list on the server selected by
-//!   hashing the directory id — the policy of InfiniFS / IndexFS / BeeGFS.
-//! * **Subtree**: entire top-level subtrees are assigned to servers — the
-//!   (static) approximation of CephFS's subtree partitioning used by the
-//!   CephFS-like baseline.
+//!   hashing the directory id — the policy of InfiniFS / IndexFS, and of
+//!   the CephFS-like baseline. A directory therefore has two replicas: an
+//!   *access* replica with its parent's children and a *content* replica
+//!   with its own.
+//!
+//! [`ShardMap`] is the only code that tells the two policies apart: clients
+//! route with [`ShardMap::route`], and servers re-check ownership, extract
+//! migrating shards and address directory updates with the same hashes.
+//! Protocol code whose round trips genuinely differ between the two asks
+//! [`ShardMap::groups_children`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::ids::{DirId, Fingerprint, ServerId};
-use crate::schema::MetaKey;
+use crate::ids::{splitmix64, DirId, Fingerprint, ServerId};
+use crate::message::MetaOp;
+use crate::schema::{InodeAttrs, MetaKey};
 use serde::{Deserialize, Serialize};
 
 /// Which partitioning rule a cluster uses.
@@ -26,83 +35,6 @@ pub enum PartitionPolicy {
     PerFileHash,
     /// Per-directory hashing (parent/children grouping).
     PerDirectoryHash,
-    /// Static subtree partitioning by top-level directory.
-    Subtree,
-}
-
-/// Maps metadata objects to their owner servers.
-pub trait Placement {
-    /// Number of metadata servers.
-    fn num_servers(&self) -> usize;
-
-    /// Owner of a *file* inode identified by its `(pid, name)` key.
-    fn file_owner(&self, key: &MetaKey) -> ServerId;
-
-    /// Owner of a *directory* inode (and its entry list) identified by the
-    /// directory's fingerprint. Used by SwitchFS so that a fingerprint group
-    /// maps to exactly one server (§4.3).
-    fn dir_owner_by_fp(&self, fp: Fingerprint) -> ServerId;
-
-    /// Owner of a directory's children under P/C grouping, identified by the
-    /// directory id.
-    fn dir_owner_by_id(&self, id: &DirId) -> ServerId;
-
-    /// Owner for an arbitrary pre-computed hash (used by the subtree policy
-    /// and by tests).
-    fn owner_of_hash(&self, hash: u64) -> ServerId;
-}
-
-/// Modulo-hash placement over `n` servers with a given policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HashPlacement {
-    policy: PartitionPolicy,
-    servers: usize,
-}
-
-impl HashPlacement {
-    /// Creates a placement over `servers` servers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers` is zero.
-    pub fn new(policy: PartitionPolicy, servers: usize) -> Self {
-        assert!(servers > 0, "placement needs at least one server");
-        HashPlacement { policy, servers }
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> PartitionPolicy {
-        self.policy
-    }
-}
-
-impl Placement for HashPlacement {
-    fn num_servers(&self) -> usize {
-        self.servers
-    }
-
-    fn file_owner(&self, key: &MetaKey) -> ServerId {
-        match self.policy {
-            // Files are spread by their own key.
-            PartitionPolicy::PerFileHash => self.owner_of_hash(key.hash64()),
-            // Files are colocated with their parent directory's children.
-            PartitionPolicy::PerDirectoryHash | PartitionPolicy::Subtree => {
-                self.dir_owner_by_id(&key.pid)
-            }
-        }
-    }
-
-    fn dir_owner_by_fp(&self, fp: Fingerprint) -> ServerId {
-        self.owner_of_hash(crate::ids::splitmix64(fp.raw()))
-    }
-
-    fn dir_owner_by_id(&self, id: &DirId) -> ServerId {
-        self.owner_of_hash(id.hash64())
-    }
-
-    fn owner_of_hash(&self, hash: u64) -> ServerId {
-        ServerId((hash % self.servers as u64) as u32)
-    }
 }
 
 /// Baseline number of virtual shards a map aims for. The actual count is
@@ -115,7 +47,8 @@ pub const BASE_SHARDS: usize = 256;
 ///
 /// The hash space is split into a fixed number of virtual shards
 /// (`shard = hash % num_shards`), each owned by one server. Epoch 0 is
-/// extensionally equal to [`HashPlacement`] over the initial server count;
+/// extensionally equal to the historic `hash % n` placement over the initial
+/// server count;
 /// every later reassignment (live shard migration, server addition) bumps
 /// the epoch, and clients holding a stale epoch are rejected with
 /// [`crate::message::OpResult::WrongOwner`] carrying the current map.
@@ -138,8 +71,8 @@ pub struct ShardMap {
 impl ShardMap {
     /// The epoch-0 map over `servers` servers: `num_shards` is the smallest
     /// multiple of `servers` that is at least [`BASE_SHARDS`], and shard `s`
-    /// is owned by server `s % servers` — bit-identical to
-    /// `HashPlacement`'s `hash % servers`.
+    /// is owned by server `s % servers` — bit-identical to the historic
+    /// `hash % servers` placement.
     ///
     /// # Panics
     ///
@@ -158,11 +91,6 @@ impl ShardMap {
             shards,
             retired: Vec::new(),
         }
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> PartitionPolicy {
-        self.policy
     }
 
     /// The current map version; bumped by every shard reassignment.
@@ -334,30 +262,145 @@ impl ShardMap {
     }
 }
 
-impl Placement for ShardMap {
-    fn num_servers(&self) -> usize {
+/// Where metadata lives: the placement decisions every client and server
+/// shares.
+impl ShardMap {
+    /// Number of registered servers (retired ones included: their ids stay
+    /// allocated).
+    pub fn num_servers(&self) -> usize {
         self.servers
     }
 
-    fn file_owner(&self, key: &MetaKey) -> ServerId {
-        match self.policy {
-            PartitionPolicy::PerFileHash => self.owner_of_hash(key.hash64()),
-            PartitionPolicy::PerDirectoryHash | PartitionPolicy::Subtree => {
-                self.dir_owner_by_id(&key.pid)
-            }
+    /// Owner of an arbitrary placement hash.
+    pub fn owner_of_hash(&self, hash: u64) -> ServerId {
+        self.owner_of_shard(self.shard_of_hash(hash))
+    }
+
+    /// True when a directory's children are placed with the directory (P/C
+    /// grouping). Then a directory has an access and a content replica, and
+    /// a key's file and directory inodes share a server. Under separation a
+    /// directory's entry list lives with its fingerprint group and moves
+    /// when the directory is renamed.
+    pub fn groups_children(&self) -> bool {
+        self.policy == PartitionPolicy::PerDirectoryHash
+    }
+
+    /// The placement hash of fingerprint group `fp`.
+    fn fingerprint_hash(fp: Fingerprint) -> u64 {
+        splitmix64(fp.raw())
+    }
+
+    /// The shard holding fingerprint group `fp`.
+    pub fn shard_of_fp(&self, fp: Fingerprint) -> u32 {
+        self.shard_of_hash(Self::fingerprint_hash(fp))
+    }
+
+    /// Placement hash of the inode stored under `key` (see
+    /// [`ShardMap::inode_owner`]).
+    fn inode_hash(&self, key: &MetaKey, is_dir: bool) -> u64 {
+        if self.groups_children() {
+            key.pid.hash64()
+        } else if is_dir {
+            Self::fingerprint_hash(Fingerprint::of_dir(&key.pid, &key.name))
+        } else {
+            key.hash64()
         }
     }
 
-    fn dir_owner_by_fp(&self, fp: Fingerprint) -> ServerId {
-        self.owner_of_hash(crate::ids::splitmix64(fp.raw()))
+    /// Placement hash of a directory's entry list and owner-index record:
+    /// its fingerprint `fp` under separation, its id under grouping.
+    pub fn dir_content_hash(&self, fp: Fingerprint, id: &DirId) -> u64 {
+        if self.groups_children() {
+            id.hash64()
+        } else {
+            Self::fingerprint_hash(fp)
+        }
     }
 
-    fn dir_owner_by_id(&self, id: &DirId) -> ServerId {
+    /// Every placement hash under which the inode `key → attrs` is stored:
+    /// its inode hash, plus, for a directory under grouping, its content
+    /// replica's.
+    pub fn inode_hashes(&self, key: &MetaKey, attrs: &InodeAttrs) -> Vec<u64> {
+        let mut hashes = vec![self.inode_hash(key, attrs.is_dir())];
+        if attrs.is_dir() && self.groups_children() {
+            hashes.push(attrs.id.hash64());
+        }
+        hashes
+    }
+
+    /// The placement hashes `key` can fall under in any role under either
+    /// policy: its per-file hash, its fingerprint hash and its parent
+    /// directory's hash. Conservative checks (the migration freeze gate)
+    /// test all three.
+    pub fn key_hashes(key: &MetaKey) -> [u64; 3] {
+        [
+            key.hash64(),
+            Self::fingerprint_hash(Fingerprint::of_dir(&key.pid, &key.name)),
+            key.pid.hash64(),
+        ]
+    }
+
+    /// Owner of the inode stored under `key`: where a create (`is_dir ==
+    /// false`) or a mkdir (`true`) of `key` puts it. Under grouping that is
+    /// the parent's children server (for a directory, its access replica);
+    /// under separation a file is placed by its key and a directory by its
+    /// fingerprint.
+    pub fn inode_owner(&self, key: &MetaKey, is_dir: bool) -> ServerId {
+        self.owner_of_hash(self.inode_hash(key, is_dir))
+    }
+
+    /// Owner of a file inode identified by its `(pid, name)` key.
+    pub fn file_owner(&self, key: &MetaKey) -> ServerId {
+        self.inode_owner(key, false)
+    }
+
+    /// Owner of a directory's entry list (see [`ShardMap::dir_content_hash`]).
+    pub fn dir_content_owner(&self, fp: Fingerprint, id: &DirId) -> ServerId {
+        self.owner_of_hash(self.dir_content_hash(fp, id))
+    }
+
+    /// Owner of fingerprint group `fp`.
+    pub fn dir_owner_by_fp(&self, fp: Fingerprint) -> ServerId {
+        self.owner_of_hash(Self::fingerprint_hash(fp))
+    }
+
+    /// Owner of the directory-id hash of `id`.
+    pub fn dir_owner_by_id(&self, id: &DirId) -> ServerId {
         self.owner_of_hash(id.hash64())
     }
 
-    fn owner_of_hash(&self, hash: u64) -> ServerId {
-        self.shards[(hash % self.shards.len() as u64) as usize]
+    /// True when routing `op` needs the id of its final path component:
+    /// under grouping, directory reads and rmdir are served by the
+    /// directory's content replica, which is placed by that id.
+    pub fn needs_target(&self, op: &MetaOp) -> bool {
+        self.groups_children()
+            && matches!(
+                op,
+                MetaOp::Statdir { .. } | MetaOp::Readdir { .. } | MetaOp::Rmdir { .. }
+            )
+    }
+
+    /// The server `op` is routed to. `target` holds the resolved attributes
+    /// of the final path component when the client knows them.
+    pub fn route(&self, op: &MetaOp, target: Option<&InodeAttrs>) -> ServerId {
+        let key = op.primary_key();
+        let hash = match op {
+            // Served from the directory's entry list. Under grouping the
+            // client resolved the directory's id (`needs_target`).
+            MetaOp::Statdir { .. } | MetaOp::Readdir { .. } | MetaOp::Rmdir { .. } => {
+                let id = target.map_or(key.pid, |a| a.id);
+                self.dir_content_hash(Fingerprint::of_dir(&key.pid, &key.name), &id)
+            }
+            // Path resolution and mkdir address a directory inode.
+            MetaOp::Mkdir { .. } | MetaOp::Lookup { .. } => self.inode_hash(key, true),
+            // Coordinated by the source inode's owner. The source's type
+            // comes from the client cache; on a cold cache the request goes
+            // to the file owner, which forwards a directory rename to the
+            // directory's owner server-side (the client never probes).
+            MetaOp::Rename { .. } => self.inode_hash(key, target.is_some_and(InodeAttrs::is_dir)),
+            _ => self.inode_hash(key, false),
+        };
+        self.owner_of_hash(hash)
     }
 }
 
@@ -381,11 +424,6 @@ impl SharedPlacement {
         Self::new(ShardMap::initial(policy, servers))
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> PartitionPolicy {
-        self.0.borrow().policy()
-    }
-
     /// The current epoch.
     pub fn epoch(&self) -> u64 {
         self.0.borrow().epoch()
@@ -404,6 +442,11 @@ impl SharedPlacement {
     /// See [`ShardMap::shard_of_hash`].
     pub fn shard_of_hash(&self, hash: u64) -> u32 {
         self.0.borrow().shard_of_hash(hash)
+    }
+
+    /// See [`ShardMap::shard_of_fp`].
+    pub fn shard_of_fp(&self, fp: Fingerprint) -> u32 {
+        self.0.borrow().shard_of_fp(fp)
     }
 
     /// See [`ShardMap::owner_of_shard`].
@@ -451,32 +494,59 @@ impl SharedPlacement {
         self.0.borrow().plan_drain(victim)
     }
 
-    /// Number of metadata servers.
+    /// See [`ShardMap::num_servers`].
     pub fn num_servers(&self) -> usize {
         self.0.borrow().num_servers()
     }
 
-    /// Owner of a file inode (see [`Placement::file_owner`]).
+    /// See [`ShardMap::owner_of_hash`].
+    pub fn owner_of_hash(&self, hash: u64) -> ServerId {
+        self.0.borrow().owner_of_hash(hash)
+    }
+
+    /// See [`ShardMap::groups_children`].
+    pub fn groups_children(&self) -> bool {
+        self.0.borrow().groups_children()
+    }
+
+    /// See [`ShardMap::dir_content_hash`].
+    pub fn dir_content_hash(&self, fp: Fingerprint, id: &DirId) -> u64 {
+        self.0.borrow().dir_content_hash(fp, id)
+    }
+
+    /// See [`ShardMap::inode_hashes`].
+    pub fn inode_hashes(&self, key: &MetaKey, attrs: &InodeAttrs) -> Vec<u64> {
+        self.0.borrow().inode_hashes(key, attrs)
+    }
+
+    /// See [`ShardMap::inode_owner`].
+    pub fn inode_owner(&self, key: &MetaKey, is_dir: bool) -> ServerId {
+        self.0.borrow().inode_owner(key, is_dir)
+    }
+
+    /// See [`ShardMap::file_owner`].
     pub fn file_owner(&self, key: &MetaKey) -> ServerId {
         self.0.borrow().file_owner(key)
     }
 
-    /// Owner of a directory's fingerprint group (see
-    /// [`Placement::dir_owner_by_fp`]).
+    /// See [`ShardMap::dir_content_owner`].
+    pub fn dir_content_owner(&self, fp: Fingerprint, id: &DirId) -> ServerId {
+        self.0.borrow().dir_content_owner(fp, id)
+    }
+
+    /// See [`ShardMap::dir_owner_by_fp`].
     pub fn dir_owner_by_fp(&self, fp: Fingerprint) -> ServerId {
         self.0.borrow().dir_owner_by_fp(fp)
     }
 
-    /// Owner of a directory's children under P/C grouping (see
-    /// [`Placement::dir_owner_by_id`]).
+    /// See [`ShardMap::dir_owner_by_id`].
     pub fn dir_owner_by_id(&self, id: &DirId) -> ServerId {
         self.0.borrow().dir_owner_by_id(id)
     }
 
-    /// Owner of an arbitrary placement hash (see
-    /// [`Placement::owner_of_hash`]).
-    pub fn owner_of_hash(&self, hash: u64) -> ServerId {
-        self.0.borrow().owner_of_hash(hash)
+    /// See [`ShardMap::route`].
+    pub fn route(&self, op: &MetaOp, target: Option<&InodeAttrs>) -> ServerId {
+        self.0.borrow().route(op, target)
     }
 }
 
@@ -487,7 +557,7 @@ mod tests {
 
     #[test]
     fn per_file_hash_spreads_one_directory() {
-        let p = HashPlacement::new(PartitionPolicy::PerFileHash, 8);
+        let p = ShardMap::initial(PartitionPolicy::PerFileHash, 8);
         let mut counts: HashMap<ServerId, usize> = HashMap::new();
         for i in 0..8000 {
             let key = MetaKey::new(DirId::ROOT, format!("f{i}"));
@@ -500,7 +570,7 @@ mod tests {
 
     #[test]
     fn per_directory_hash_groups_one_directory() {
-        let p = HashPlacement::new(PartitionPolicy::PerDirectoryHash, 8);
+        let p = ShardMap::initial(PartitionPolicy::PerDirectoryHash, 8);
         let owners: std::collections::HashSet<_> = (0..1000)
             .map(|i| p.file_owner(&MetaKey::new(DirId::ROOT, format!("f{i}"))))
             .collect();
@@ -509,14 +579,14 @@ mod tests {
 
     #[test]
     fn fingerprint_groups_map_to_one_server() {
-        let p = HashPlacement::new(PartitionPolicy::PerFileHash, 8);
+        let p = ShardMap::initial(PartitionPolicy::PerFileHash, 8);
         let fp = Fingerprint::of_dir(&DirId::ROOT, "dir");
         assert_eq!(p.dir_owner_by_fp(fp), p.dir_owner_by_fp(fp));
     }
 
     #[test]
     fn owner_is_always_in_range() {
-        let p = HashPlacement::new(PartitionPolicy::PerFileHash, 5);
+        let p = ShardMap::initial(PartitionPolicy::PerFileHash, 5);
         for h in [0u64, 1, u64::MAX, 12345678901234567] {
             assert!(p.owner_of_hash(h).0 < 5);
         }
@@ -525,7 +595,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one server")]
     fn zero_servers_panics() {
-        let _ = HashPlacement::new(PartitionPolicy::PerFileHash, 0);
+        let _ = ShardMap::initial(PartitionPolicy::PerFileHash, 0);
     }
 
     #[test]
@@ -535,9 +605,147 @@ mod tests {
             assert_eq!(map.epoch(), 0);
             assert_eq!(map.num_shards() % n, 0);
             assert!(map.num_shards() >= BASE_SHARDS.min(n * BASE_SHARDS));
-            let old = HashPlacement::new(PartitionPolicy::PerFileHash, n);
             for h in [0u64, 1, 255, 256, 12345678901234567, u64::MAX] {
-                assert_eq!(map.owner_of_hash(h), old.owner_of_hash(h), "n={n} h={h}");
+                let old = ServerId((h % n as u64) as u32);
+                assert_eq!(map.owner_of_hash(h), old, "n={n} h={h}");
+            }
+        }
+    }
+
+    /// The placement hash a routed operation must land on.
+    #[derive(Debug, Clone, Copy)]
+    enum Role {
+        /// The fingerprint of the operation's key.
+        Fp,
+        /// The id of the resolved target.
+        Target,
+        /// The key's parent directory id.
+        Parent,
+        /// The key itself (per-file hash).
+        Key,
+    }
+
+    /// One table over every op kind, both policies and no / file /
+    /// directory target: `route` must land on the owner of the row's role,
+    /// on a map whose shards were reassigned, and `needs_target` must hold
+    /// exactly for the rows whose grouping role is the target.
+    #[test]
+    fn route_sends_every_op_to_its_owning_role() {
+        use crate::message::MetaOp;
+        use crate::schema::{InodeAttrs, Permissions};
+        use Role::*;
+        let perm = Permissions::default();
+        type Build = fn(MetaKey) -> MetaOp;
+        // (op, separation roles, grouping roles), each for [no target,
+        // file target, directory target].
+        let rows: [(Build, [Role; 3], [Role; 3]); 12] = [
+            (|key| MetaOp::Lookup { key }, [Fp; 3], [Parent; 3]),
+            (
+                |key| MetaOp::Create {
+                    key,
+                    perm: Permissions::default(),
+                },
+                [Key; 3],
+                [Parent; 3],
+            ),
+            (|key| MetaOp::Delete { key }, [Key; 3], [Parent; 3]),
+            (
+                |key| MetaOp::Mkdir {
+                    key,
+                    perm: Permissions::default(),
+                },
+                [Fp; 3],
+                [Parent; 3],
+            ),
+            (
+                |key| MetaOp::Rmdir { key },
+                [Fp; 3],
+                [Parent, Target, Target],
+            ),
+            (|key| MetaOp::Stat { key }, [Key; 3], [Parent; 3]),
+            (
+                |key| MetaOp::Statdir { key },
+                [Fp; 3],
+                [Parent, Target, Target],
+            ),
+            (
+                |key| MetaOp::Readdir { key },
+                [Fp; 3],
+                [Parent, Target, Target],
+            ),
+            (|key| MetaOp::Open { key }, [Key; 3], [Parent; 3]),
+            (|key| MetaOp::Close { key }, [Key; 3], [Parent; 3]),
+            (
+                |key| MetaOp::Chmod { key, mode: 0o700 },
+                [Key; 3],
+                [Parent; 3],
+            ),
+            (
+                |src| MetaOp::Rename {
+                    src,
+                    dst: MetaKey::new(DirId::ROOT, "dst"),
+                    dst_parent: None,
+                },
+                [Key, Key, Fp],
+                [Parent; 3],
+            ),
+        ];
+        let id = DirId::generate(ServerId(3), 77);
+        let targets = [
+            None,
+            Some(InodeAttrs::new_file(id, 0, perm)),
+            Some(InodeAttrs::new_dir(id, 0, perm)),
+        ];
+        for policy in [
+            PartitionPolicy::PerFileHash,
+            PartitionPolicy::PerDirectoryHash,
+        ] {
+            let mut map = ShardMap::initial(policy, 8);
+            map.add_server();
+            for (shard, _, to) in map.plan_rebalance() {
+                map.assign(shard, to);
+            }
+            let hash_of = |role: Role, key: &MetaKey| match role {
+                Fp => ShardMap::fingerprint_hash(Fingerprint::of_dir(&key.pid, &key.name)),
+                Target => id.hash64(),
+                Parent => key.pid.hash64(),
+                Key => key.hash64(),
+            };
+            // A key whose four roles have four different owners, so a row
+            // can only pass by routing to its own role.
+            let parent = DirId::generate(ServerId(1), 5);
+            let key = (0..1000)
+                .map(|i| MetaKey::new(parent, format!("k{i}")))
+                .find(|key| {
+                    let owners: std::collections::HashSet<ServerId> = [Fp, Target, Parent, Key]
+                        .iter()
+                        .map(|r| map.owner_of_hash(hash_of(*r, key)))
+                        .collect();
+                    owners.len() == 4
+                })
+                .expect("a key with four distinct role owners");
+            for (build, separation, grouping) in &rows {
+                let op = build(key.clone());
+                let roles = if map.groups_children() {
+                    grouping
+                } else {
+                    separation
+                };
+                for (target, role) in targets.iter().zip(roles) {
+                    assert_eq!(
+                        map.route(&op, target.as_ref()),
+                        map.owner_of_hash(hash_of(*role, &key)),
+                        "{policy:?} {} target={:?}: expected the {role:?} owner",
+                        op.name(),
+                        target.as_ref().map(|a| a.file_type),
+                    );
+                }
+                assert_eq!(
+                    map.needs_target(&op),
+                    matches!(roles[2], Target),
+                    "{policy:?} {}",
+                    op.name()
+                );
             }
         }
     }
@@ -593,7 +801,7 @@ mod tests {
 
     #[test]
     fn rebalance_of_a_balanced_map_is_empty() {
-        let map = ShardMap::initial(PartitionPolicy::Subtree, 8);
+        let map = ShardMap::initial(PartitionPolicy::PerDirectoryHash, 8);
         assert!(map.plan_rebalance().is_empty());
     }
 

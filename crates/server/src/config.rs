@@ -49,9 +49,6 @@ pub enum TrackingMode {
 /// Proactive change-log pushing and aggregation parameters (§5.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProactiveConfig {
-    /// Whether proactive pushing / aggregation is enabled at all (the paper
-    /// enables it in every experiment).
-    pub enabled: bool,
     /// Push a directory's change-log once its marshalled entries would fill
     /// this many bytes (one MTU in the paper; ≈29 entries).
     pub mtu_bytes: usize,
@@ -67,7 +64,6 @@ pub struct ProactiveConfig {
 impl Default for ProactiveConfig {
     fn default() -> Self {
         ProactiveConfig {
-            enabled: true,
             mtu_bytes: 2048,
             idle_push_after: SimDuration::micros(500),
             owner_aggregate_after: SimDuration::micros(800),
@@ -164,9 +160,8 @@ mod tests {
     }
 
     #[test]
-    fn proactive_defaults_are_enabled() {
+    fn proactive_defaults_are_ordered() {
         let p = ProactiveConfig::default();
-        assert!(p.enabled);
         assert!(p.mtu_bytes > 0);
         assert!(p.owner_aggregate_after > p.idle_push_after);
     }

@@ -29,7 +29,7 @@ use switchfs_proto::message::{
 };
 use switchfs_proto::{
     ChangeLogEntry, ClientId, DirEntry, DirId, DirtyRet, DirtySetOp, DirtyState, FileType,
-    Fingerprint, FsError, InodeAttrs, MetaKey, OpId, ServerId, TraceId,
+    Fingerprint, FsError, InodeAttrs, MetaKey, OpId, ServerId, ShardMap, TraceId,
 };
 use switchfs_simnet::sync::oneshot;
 use switchfs_simnet::{timeout, CpuPool, Endpoint, NodeId, SimHandle, SimTime};
@@ -703,15 +703,13 @@ impl Server {
             .unwrap_or_default()
     }
 
-    /// Starts the server: spawns the packet loop and, if enabled, the
-    /// proactive push/aggregation loop.
+    /// Starts the server: spawns the packet loop and the proactive
+    /// push/aggregation loop.
     pub fn start(&self) {
         let me = self.clone();
         self.handle.spawn(async move { me.run_loop().await });
-        if self.cfg.proactive.enabled {
-            let me = self.clone();
-            self.handle.spawn(async move { me.proactive_loop().await });
-        }
+        let me = self.clone();
+        self.handle.spawn(async move { me.proactive_loop().await });
     }
 
     async fn run_loop(&self) {
@@ -900,19 +898,17 @@ impl Server {
     }
 
     /// The placement-hash shards a request's primary key may legitimately
-    /// map to under the current policy (its per-file hash, its fingerprint
-    /// and its parent-directory hash, plus a locally-known directory id for
+    /// map to under any policy (its per-file hash, its fingerprint and its
+    /// parent-directory hash, plus a locally-known directory id for
     /// grouping policies). Used by the migration freeze gate; computed only
     /// while a migration is active, never on the hot path.
     fn request_shards(&self, op: &MetaOp) -> Vec<u32> {
         let key = op.primary_key();
-        let fp = Fingerprint::of_dir(&key.pid, &key.name);
         let placement = &self.cfg.placement;
-        let mut shards = vec![
-            placement.shard_of_hash(key.hash64()),
-            placement.shard_of_hash(switchfs_proto::ids::splitmix64(fp.raw())),
-            placement.shard_of_hash(key.pid.hash64()),
-        ];
+        let mut shards: Vec<u32> = ShardMap::key_hashes(key)
+            .into_iter()
+            .map(|h| placement.shard_of_hash(h))
+            .collect();
         let dir_id = self.inner.borrow().inodes.peek(key).map(|a| a.id);
         if let Some(id) = dir_id {
             shards.push(placement.shard_of_hash(id.hash64()));
@@ -921,43 +917,22 @@ impl Server {
         shards
     }
 
-    /// Ownership check for stale-epoch requests, mirroring the client
-    /// router's per-op routing under the *current* map. The check must be
-    /// exactly as strict as the router: accepting a non-owner (e.g. the
-    /// per-file-hash server for a fingerprint-routed `mkdir`) would let a
-    /// stale-routed create materialize state on the wrong server.
+    /// Ownership check for stale-epoch requests: the client router's
+    /// [`ShardMap::route`] under the *current* map, plus two documented
+    /// exceptions. Accepting any other server (e.g. the per-file-hash
+    /// server for a fingerprint-routed `mkdir`) would let a stale-routed
+    /// create materialize state on the wrong server.
     fn may_own(&self, op: &MetaOp) -> bool {
         let key = op.primary_key();
         let placement = &self.cfg.placement;
         let me = self.cfg.id;
-        match placement.policy() {
-            switchfs_proto::PartitionPolicy::PerFileHash => match op {
-                // Fingerprint-routed directory-target operations.
-                MetaOp::Mkdir { .. }
-                | MetaOp::Rmdir { .. }
-                | MetaOp::Statdir { .. }
-                | MetaOp::Readdir { .. }
-                | MetaOp::Lookup { .. } => {
-                    placement.dir_owner_by_fp(Fingerprint::of_dir(&key.pid, &key.name)) == me
-                }
-                // Rename is legitimately addressed to either the source's
-                // fingerprint owner (directory source) or its per-file-hash
-                // owner (file source / cold cache, re-routed server-side).
-                MetaOp::Rename { src, .. } => {
-                    placement.owner_of_hash(src.hash64()) == me
-                        || placement.dir_owner_by_fp(Fingerprint::of_dir(&src.pid, &src.name)) == me
-                }
-                _ => placement.owner_of_hash(key.hash64()) == me,
-            },
-            // Grouping policies: most operations target the parent's
-            // children server; directory reads / rmdir target the content
-            // owner, addressed by an id only the client resolved — accept
-            // when the replica is locally stored.
-            _ => {
-                placement.dir_owner_by_id(&key.pid) == me
-                    || self.inner.borrow().inodes.contains(key)
-            }
-        }
+        placement.route(op, None) == me
+            // A rename is also addressed to its source's directory-inode
+            // owner when the client knew the source is a directory.
+            || (matches!(op, MetaOp::Rename { .. }) && placement.inode_owner(key, true) == me)
+            // Grouping: directory reads and rmdir are addressed by an id only
+            // the client resolved; accept when the replica is stored here.
+            || (placement.groups_children() && self.inner.borrow().inodes.contains(key))
     }
 
     /// Durably records a completed mutating operation's response (piggybacked
@@ -1818,7 +1793,7 @@ impl Server {
             inner.shutdown = false;
             was
         };
-        if was_shutdown && self.cfg.proactive.enabled {
+        if was_shutdown {
             let me = self.clone();
             self.handle.spawn(async move { me.proactive_loop().await });
         }

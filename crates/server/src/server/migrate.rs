@@ -31,8 +31,8 @@
 
 use switchfs_proto::message::{Body, ClientResponse, ServerMsg};
 use switchfs_proto::{
-    ids::splitmix64, ChangeLogEntry, DirId, FileType, Fingerprint, InodeAttrs, MetaKey, OpId,
-    PartitionPolicy, ServerId,
+    ChangeLogEntry, DirId, Fingerprint, InodeAttrs, MetaKey, OpId, ServerId, ShardMap,
+    SharedPlacement,
 };
 
 use crate::server::{Server, TokenReply};
@@ -56,42 +56,16 @@ impl ShardExtract {
     }
 }
 
-/// The placement hashes under which an inode may be stored on its owner:
-/// its routing roles under the given policy. A directory under grouping
-/// policies has two (access replica with the parent's children, content
-/// replica with its own).
-fn inode_role_hashes(policy: PartitionPolicy, key: &MetaKey, attrs: &InodeAttrs) -> Vec<u64> {
-    match policy {
-        PartitionPolicy::PerFileHash => {
-            if attrs.file_type == FileType::Directory {
-                vec![splitmix64(Fingerprint::of_dir(&key.pid, &key.name).raw())]
-            } else {
-                vec![key.hash64()]
-            }
-        }
-        PartitionPolicy::PerDirectoryHash | PartitionPolicy::Subtree => {
-            let mut v = vec![key.pid.hash64()];
-            if attrs.file_type == FileType::Directory {
-                v.push(attrs.id.hash64());
-            }
-            v
-        }
-    }
-}
-
-/// The placement hash that owns a directory's entry list (and its owner-
-/// index record): the fingerprint hash under per-file hashing, the
-/// directory-id hash under the grouping policies.
-fn dir_content_hash(policy: PartitionPolicy, dir: &DirId, dir_key: Option<&MetaKey>) -> u64 {
-    match policy {
-        PartitionPolicy::PerFileHash => match dir_key {
-            Some(key) => splitmix64(Fingerprint::of_dir(&key.pid, &key.name).raw()),
-            // Without an index entry the fingerprint is unknown; fall back
-            // to the id hash, which never matches a foreign shard under
-            // per-file hashing — the list simply stays put.
-            None => dir.hash64(),
-        },
-        PartitionPolicy::PerDirectoryHash | PartitionPolicy::Subtree => dir.hash64(),
+/// The placement hash that owns a stored entry list: the directory's content
+/// hash, computed from the fingerprint of its owner-index record. Without a
+/// record the fingerprint is unknown and the id hash stands in. Under
+/// grouping that is the content hash anyway; under per-file hashing it
+/// falls in an arbitrary shard, so such a list migrates with whichever
+/// shard its id hashes into.
+fn dir_content_hash(placement: &SharedPlacement, dir: &DirId, dir_key: Option<&MetaKey>) -> u64 {
+    match dir_key {
+        Some(key) => placement.dir_content_hash(Fingerprint::of_dir(&key.pid, &key.name), dir),
+        None => dir.hash64(),
     }
 }
 
@@ -117,7 +91,6 @@ impl Server {
         shards: &std::collections::BTreeSet<u32>,
     ) -> std::collections::BTreeMap<u32, ShardExtract> {
         let placement = &self.cfg.placement;
-        let policy = placement.policy();
         let inner = self.inner.borrow();
         let mut out: std::collections::BTreeMap<u32, ShardExtract> = shards
             .iter()
@@ -125,7 +98,7 @@ impl Server {
             .collect();
         for (key, attrs) in inner.inodes.iter() {
             let mut first_hit: Option<u32> = None;
-            for h in inode_role_hashes(policy, key, attrs) {
+            for h in placement.inode_hashes(key, attrs) {
                 let s = placement.shard_of_hash(h);
                 if first_hit == Some(s) {
                     continue;
@@ -139,7 +112,7 @@ impl Server {
             }
         }
         for (dir, content) in inner.entries.iter() {
-            let h = dir_content_hash(policy, dir, inner.dir_index.get(dir));
+            let h = dir_content_hash(placement, dir, inner.dir_index.get(dir));
             if let Some(extract) = out.get_mut(&placement.shard_of_hash(h)) {
                 for e in content.iter() {
                     extract.entries.push((*dir, e.clone()));
@@ -147,16 +120,13 @@ impl Server {
             }
         }
         for (dir, key) in inner.dir_index.iter() {
-            let h = dir_content_hash(policy, dir, Some(key));
+            let h = dir_content_hash(placement, dir, Some(key));
             if let Some(extract) = out.get_mut(&placement.shard_of_hash(h)) {
                 extract.dir_index.push((*dir, key.clone()));
             }
         }
         for (dir, fp) in inner.changelogs.dirty_dirs() {
-            let h = match policy {
-                PartitionPolicy::PerFileHash => splitmix64(fp.raw()),
-                _ => dir.hash64(),
-            };
+            let h = placement.dir_content_hash(fp, &dir);
             if let Some(extract) = out.get_mut(&placement.shard_of_hash(h)) {
                 if let Some(log) = inner.changelogs.get(&dir) {
                     let key = log.dir_key.clone();
@@ -220,11 +190,8 @@ impl Server {
             return false;
         }
         let placement = &self.cfg.placement;
-        let h = match placement.policy() {
-            PartitionPolicy::PerFileHash => splitmix64(fp.raw()),
-            _ => dir.hash64(),
-        };
-        inner.migrating_shards.contains(&placement.shard_of_hash(h))
+        let shard = placement.shard_of_hash(placement.dir_content_hash(fp, dir));
+        inner.migrating_shards.contains(&shard)
     }
 
     /// True when this server currently owns the directory addressed by
@@ -238,12 +205,7 @@ impl Server {
     /// divergence). A non-owner drops the message without an ack; the
     /// holder's next round routes to the new owner via the shared map.
     pub(crate) fn owns_dir_updates(&self, fp: Fingerprint, dir: &DirId) -> bool {
-        let placement = &self.cfg.placement;
-        let h = match placement.policy() {
-            PartitionPolicy::PerFileHash => splitmix64(fp.raw()),
-            _ => dir.hash64(),
-        };
-        placement.owner_of_hash(h) == self.cfg.id
+        self.cfg.placement.dir_content_owner(fp, dir) == self.cfg.id
     }
 
     /// True while work that predates the freeze may still touch `shard`:
@@ -259,7 +221,7 @@ impl Server {
         if inner
             .pending_aggs
             .values()
-            .any(|agg| placement.shard_of_hash(splitmix64(agg.fp.raw())) == shard)
+            .any(|agg| placement.shard_of_fp(agg.fp) == shard)
         {
             return true;
         }
@@ -268,7 +230,7 @@ impl Server {
         if inner
             .active_aggs
             .keys()
-            .any(|raw| placement.shard_of_hash(splitmix64(*raw)) == shard)
+            .any(|raw| placement.shard_of_fp(Fingerprint::from_raw(*raw)) == shard)
         {
             return true;
         }
@@ -289,10 +251,9 @@ impl Server {
         use switchfs_proto::message::TxnOp;
         let placement = &self.cfg.placement;
         let key_hits = |key: &MetaKey| {
-            let fp = Fingerprint::of_dir(&key.pid, &key.name);
-            placement.shard_of_hash(key.hash64()) == shard
-                || placement.shard_of_hash(splitmix64(fp.raw())) == shard
-                || placement.shard_of_hash(key.pid.hash64()) == shard
+            ShardMap::key_hashes(key)
+                .into_iter()
+                .any(|h| placement.shard_of_hash(h) == shard)
         };
         match op {
             TxnOp::PutInode { key, .. } | TxnOp::DeleteInode { key } => key_hits(key),
@@ -465,10 +426,10 @@ impl Server {
     /// install attempt before applying a retried one.
     async fn delete_shard_local(&self, extract: &ShardExtract, drop_changelogs: bool) {
         let placement = &self.cfg.placement;
-        let policy = placement.policy();
         let mut effects = Vec::new();
         for (key, attrs) in &extract.inodes {
-            let keep = inode_role_hashes(policy, key, attrs)
+            let keep = placement
+                .inode_hashes(key, attrs)
                 .iter()
                 .any(|h| placement.owner_of_hash(*h) == self.cfg.id);
             if !keep {
@@ -479,7 +440,7 @@ impl Server {
             effects.push(KvEffect::DeleteEntry(*dir, entry.name.clone()));
         }
         for (dir, key) in &extract.dir_index {
-            if placement.owner_of_hash(dir_content_hash(policy, dir, Some(key))) != self.cfg.id {
+            if placement.owner_of_hash(dir_content_hash(placement, dir, Some(key))) != self.cfg.id {
                 effects.push(KvEffect::UnindexDir(*dir));
             }
         }
@@ -740,11 +701,11 @@ impl Server {
     /// role still mapping here are kept, like the post-flip source delete.
     pub(crate) fn drop_shard_state(&self, shard: u32) {
         let placement = self.cfg.placement.clone();
-        let policy = placement.policy();
         let extract = self.collect_shard(shard);
         let mut inner = self.inner.borrow_mut();
         for (key, attrs) in &extract.inodes {
-            let keep = inode_role_hashes(policy, key, attrs)
+            let keep = placement
+                .inode_hashes(key, attrs)
                 .iter()
                 .any(|h| placement.owner_of_hash(*h) == self.cfg.id);
             if keep {

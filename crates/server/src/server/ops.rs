@@ -226,10 +226,7 @@ impl Server {
     /// different servers; the grouping placements colocate them and answer
     /// locally.
     pub(crate) async fn probe_is_directory(&self, key: &switchfs_proto::MetaKey) -> bool {
-        if !matches!(
-            self.cfg.placement.policy(),
-            switchfs_proto::PartitionPolicy::PerFileHash
-        ) {
+        if self.cfg.placement.groups_children() {
             return false;
         }
         let dir_owner = self
@@ -254,11 +251,12 @@ impl Server {
         parent: &ParentRef,
         entry: &ChangeLogEntry,
     ) -> Result<(), FsError> {
+        let current_owner = || self.cfg.placement.dir_content_owner(parent.fp, &parent.id);
         let mut attempt = 0u32;
         loop {
-            let owner = self.sync_dir_owner(parent);
+            let owner = current_owner();
             match self.sync_parent_update_once(parent, entry).await {
-                Err(FsError::NotFound) if attempt < 64 && self.sync_dir_owner(parent) != owner => {
+                Err(FsError::NotFound) if attempt < 64 && current_owner() != owner => {
                     // The owner changed under us (the old one already
                     // deleted its migrated copy): re-route immediately. An
                     // unchanged owner's NotFound is genuine (the parent was
@@ -270,7 +268,7 @@ impl Server {
                     // window (the flip re-routes the retry via the shared
                     // map) instead of surfacing a retryable error.
                     attempt += 1;
-                    if self.sync_dir_owner(parent) == owner {
+                    if current_owner() == owner {
                         self.handle.sleep(self.cfg.costs.request_timeout).await;
                     }
                 }
@@ -284,7 +282,7 @@ impl Server {
         parent: &ParentRef,
         entry: &ChangeLogEntry,
     ) -> Result<(), FsError> {
-        let owner = self.sync_dir_owner(parent);
+        let owner = self.cfg.placement.dir_content_owner(parent.fp, &parent.id);
         if owner == self.cfg.id {
             // The fp-group lock is the gate's precondition: harmless in the
             // pure-sync baselines (no aggregations run) but keeps every
@@ -337,31 +335,14 @@ impl Server {
         }
     }
 
-    /// The server owning a directory's updatable metadata under the
-    /// synchronous (baseline) mode.
-    pub(crate) fn sync_dir_owner(&self, parent: &ParentRef) -> switchfs_proto::ServerId {
-        match self.cfg.placement.policy() {
-            switchfs_proto::PartitionPolicy::PerDirectoryHash
-            | switchfs_proto::PartitionPolicy::Subtree => {
-                self.cfg.placement.dir_owner_by_id(&parent.id)
-            }
-            switchfs_proto::PartitionPolicy::PerFileHash => {
-                self.cfg.placement.dir_owner_by_fp(parent.fp)
-            }
-        }
-    }
-
     /// Baseline `mkdir` under P/C grouping: register the new directory's
     /// content replica on the server that will hold its children.
     async fn sync_init_dir_content(&self, key: &switchfs_proto::MetaKey, attrs: InodeAttrs) {
-        if !matches!(
-            self.cfg.placement.policy(),
-            switchfs_proto::PartitionPolicy::PerDirectoryHash
-                | switchfs_proto::PartitionPolicy::Subtree
-        ) {
+        if !self.cfg.placement.groups_children() {
             return;
         }
-        let content_owner = self.cfg.placement.dir_owner_by_id(&attrs.id);
+        let fp = Fingerprint::of_dir(&key.pid, &key.name);
+        let content_owner = self.cfg.placement.dir_content_owner(fp, &attrs.id);
         if content_owner == self.cfg.id {
             self.apply_and_log(
                 None,
@@ -515,11 +496,7 @@ impl Server {
         self.broadcast_invalidation(dir_id, key.clone());
         // Remove the access replica when the directory's children live on a
         // different server than its parent's (P/C grouping).
-        if matches!(
-            self.cfg.placement.policy(),
-            switchfs_proto::PartitionPolicy::PerDirectoryHash
-                | switchfs_proto::PartitionPolicy::Subtree
-        ) {
+        if self.cfg.placement.groups_children() {
             let access_owner = self.cfg.placement.file_owner(key);
             if access_owner != self.cfg.id {
                 let token = self.next_token();

@@ -63,15 +63,8 @@ impl Server {
         // defaults to. If the source is not stored here, hand the request to
         // the group owner — it either coordinates the directory rename or
         // authoritatively answers NotFound.
-        if matches!(
-            self.cfg.placement.policy(),
-            switchfs_proto::PartitionPolicy::PerFileHash
-        ) && !self.inner.borrow().inodes.contains(src)
-        {
-            let group_owner = self
-                .cfg
-                .placement
-                .dir_owner_by_fp(Fingerprint::of_dir(&src.pid, &src.name));
+        if !self.cfg.placement.groups_children() && !self.inner.borrow().inodes.contains(src) {
+            let group_owner = self.cfg.placement.inode_owner(src, true);
             if group_owner != self.cfg.id {
                 self.send_plain(
                     self.cfg.node_of(group_owner),
@@ -94,12 +87,7 @@ impl Server {
         // conflict-heavy rename bursts. The race this leaves open (a
         // conflicting inode appearing between probe and commit) is the same
         // one the client-side probes had.
-        if src != dst
-            && matches!(
-                self.cfg.placement.policy(),
-                switchfs_proto::PartitionPolicy::PerFileHash
-            )
-        {
+        if src != dst && !self.cfg.placement.groups_children() {
             let src_is_dir = self
                 .inner
                 .borrow()
@@ -197,15 +185,7 @@ impl Server {
         // The destination inode goes where a fresh create/mkdir of `dst`
         // would have placed it: for directories under per-file hashing that
         // is the fingerprint-group owner, not the per-file-hash owner.
-        let dst_inode_owner = if src_attrs.is_dir()
-            && matches!(
-                placement.policy(),
-                switchfs_proto::PartitionPolicy::PerFileHash
-            ) {
-            placement.dir_owner_by_fp(Fingerprint::of_dir(&dst.pid, &dst.name))
-        } else {
-            placement.file_owner(dst)
-        };
+        let dst_inode_owner = placement.inode_owner(dst, src_attrs.is_dir());
         per_server
             .entry(dst_inode_owner)
             .or_default()
@@ -221,23 +201,20 @@ impl Server {
             // policies content is placed by the unchanged directory id and
             // only the id → key index needs re-pointing.
             let dir_id = src_attrs.id;
-            let (content_owner, entries) = match placement.policy() {
-                switchfs_proto::PartitionPolicy::PerFileHash => {
-                    let inner = self.inner.borrow();
-                    let entries: Vec<switchfs_proto::DirEntry> = inner
-                        .entries
-                        .peek(&dir_id)
-                        .map(|c| c.iter().cloned().collect())
-                        .unwrap_or_default();
-                    (dst_inode_owner, entries)
-                }
-                _ => (placement.dir_owner_by_id(&dir_id), Vec::new()),
+            let content_owner =
+                placement.dir_content_owner(Fingerprint::of_dir(&dst.pid, &dst.name), &dir_id);
+            let moves_content = !placement.groups_children();
+            let entries: Vec<switchfs_proto::DirEntry> = if moves_content {
+                self.inner
+                    .borrow()
+                    .entries
+                    .peek(&dir_id)
+                    .map(|c| c.iter().cloned().collect())
+                    .unwrap_or_default()
+            } else {
+                Vec::new()
             };
-            let migrating = content_owner != self.cfg.id
-                && matches!(
-                    placement.policy(),
-                    switchfs_proto::PartitionPolicy::PerFileHash
-                );
+            let migrating = moves_content && content_owner != self.cfg.id;
             per_server
                 .entry(content_owner)
                 .or_default()
@@ -270,12 +247,7 @@ impl Server {
             .map(|p| p.key.clone())
             .unwrap_or_else(|| switchfs_proto::MetaKey::new(switchfs_proto::DirId::ROOT, ""));
         let src_parent_fp = Fingerprint::of_dir(&src_parent_key.pid, &src_parent_key.name);
-        let src_parent_owner = match placement.policy() {
-            switchfs_proto::PartitionPolicy::PerFileHash => {
-                placement.dir_owner_by_fp(src_parent_fp)
-            }
-            _ => placement.dir_owner_by_id(&src.pid),
-        };
+        let src_parent_owner = placement.dir_content_owner(src_parent_fp, &src.pid);
         per_server
             .entry(src_parent_owner)
             .or_default()
@@ -284,25 +256,15 @@ impl Server {
                 entry: src_parent_entry,
             });
         let (dst_parent_key, dst_parent_owner) = match dst_parent {
-            Some(p) => {
-                let owner = match placement.policy() {
-                    switchfs_proto::PartitionPolicy::PerFileHash => placement.dir_owner_by_fp(p.fp),
-                    _ => placement.dir_owner_by_id(&p.id),
-                };
-                (p.key.clone(), owner)
-            }
+            Some(p) => (p.key.clone(), placement.dir_content_owner(p.fp, &p.id)),
             None => {
                 // Destination directly under the root: its parent is the
                 // root directory, whose content replica every placement
                 // keeps at the root-id owner (and at the root-fp owner
                 // under per-file hashing; both are preloaded).
                 let key = switchfs_proto::MetaKey::new(switchfs_proto::DirId::ROOT, "");
-                let owner = match placement.policy() {
-                    switchfs_proto::PartitionPolicy::PerFileHash => {
-                        placement.dir_owner_by_fp(Fingerprint::of_dir(&key.pid, &key.name))
-                    }
-                    _ => placement.dir_owner_by_id(&switchfs_proto::DirId::ROOT),
-                };
+                let fp = Fingerprint::of_dir(&key.pid, &key.name);
+                let owner = placement.dir_content_owner(fp, &switchfs_proto::DirId::ROOT);
                 (key, owner)
             }
         };

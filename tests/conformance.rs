@@ -453,41 +453,45 @@ fn cross_process_same_seed_runs_are_bit_identical() {
 // Conformance across an epoch bump (PR 4: elastic placement)
 // ---------------------------------------------------------------------------
 
-/// The reference scenario must produce identical step outcomes and an
-/// identical final namespace when a server joins and a live shard rebalance
-/// bumps the map epoch halfway through: elastic placement may change *where*
-/// metadata lives, never *what* clients observe. (The stale-map client is
-/// transparently redirected via `WrongOwner` refresh-and-retry.)
+/// For every system, the reference scenario must produce identical step
+/// outcomes and an identical final namespace when a server joins and a live
+/// shard rebalance bumps the map epoch halfway through: elastic placement
+/// may change *where* metadata lives, never *what* clients observe. (The
+/// stale-map client is transparently redirected via `WrongOwner`
+/// refresh-and-retry; under the grouping policies servers also accept a
+/// stale routing to a replica they store.)
 #[test]
-fn switchfs_agrees_across_an_epoch_bump() {
+fn every_system_agrees_across_an_epoch_bump() {
     let steps = reference_scenario();
     let split = steps.len() / 2;
 
-    let baseline = build_cluster(SystemKind::SwitchFs, 42);
-    let (want_outcomes, _) = run_scenario(&baseline, &steps);
-    let want_snapshot = namespace_snapshot(&baseline, &["/proj", "/a"]);
+    for system in SystemKind::all() {
+        let baseline = build_cluster(system, 42);
+        let (want_outcomes, _) = run_scenario(&baseline, &steps);
+        let want_snapshot = namespace_snapshot(&baseline, &["/proj", "/a"]);
 
-    let mut elastic = build_cluster(SystemKind::SwitchFs, 42);
-    let (first_half, _) = run_scenario(&elastic, &steps[..split]);
-    elastic.add_server();
-    let moved = elastic.rebalance();
-    assert!(moved > 0, "the rebalance must migrate shards");
-    assert!(elastic.placement().epoch() > 0);
-    let (second_half, _) = run_scenario(&elastic, &steps[split..]);
-    let got_snapshot = namespace_snapshot(&elastic, &["/proj", "/a"]);
+        let mut elastic = build_cluster(system, 42);
+        let (first_half, _) = run_scenario(&elastic, &steps[..split]);
+        elastic.add_server();
+        let moved = elastic.rebalance();
+        assert!(moved > 0, "{system}: the rebalance must migrate shards");
+        assert!(elastic.placement().epoch() > 0);
+        let (second_half, _) = run_scenario(&elastic, &steps[split..]);
+        let got_snapshot = namespace_snapshot(&elastic, &["/proj", "/a"]);
 
-    let got_outcomes: Vec<Outcome> = first_half.into_iter().chain(second_half).collect();
-    for (i, (got, want)) in got_outcomes.iter().zip(&want_outcomes).enumerate() {
+        let got_outcomes: Vec<Outcome> = first_half.into_iter().chain(second_half).collect();
+        for (i, (got, want)) in got_outcomes.iter().zip(&want_outcomes).enumerate() {
+            assert_eq!(
+                got, want,
+                "{system}: step {i} ({:?}) diverges across the epoch bump",
+                steps[i]
+            );
+        }
         assert_eq!(
-            got, want,
-            "step {i} ({:?}) diverges across the epoch bump",
-            steps[i]
+            got_snapshot, want_snapshot,
+            "{system}: final namespace diverges across the epoch bump"
         );
     }
-    assert_eq!(
-        got_snapshot, want_snapshot,
-        "final namespace diverges across the epoch bump"
-    );
 }
 
 /// Causal tracing must be pure observation: the same seed with the flight

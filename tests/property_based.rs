@@ -259,7 +259,7 @@ proptest! {
 
 proptest! {
     /// The epoch-0 shard map must be extensionally equal to the historic
-    /// `hash % n` placement for every policy, every trait entry point and
+    /// `hash % n` placement for every policy, every owner lookup and
     /// every server count — this is what keeps all simulated results
     /// bit-identical after the placement refactor.
     #[test]
@@ -268,29 +268,30 @@ proptest! {
         raw_hashes in proptest::collection::vec(any::<u64>(), 1..32),
         names in proptest::collection::vec(any::<u16>(), 1..16),
     ) {
-        use switchfs::proto::{HashPlacement, MetaKey, PartitionPolicy, Placement, ShardMap};
+        use switchfs::proto::ids::splitmix64;
+        use switchfs::proto::{MetaKey, PartitionPolicy, ShardMap};
 
-        for policy in [
-            PartitionPolicy::PerFileHash,
-            PartitionPolicy::PerDirectoryHash,
-            PartitionPolicy::Subtree,
-        ] {
-            let old = HashPlacement::new(policy, servers);
+        // The historic placement: a policy-chosen hash modulo `servers`.
+        let modulo = |h: u64| ServerId((h % servers as u64) as u32);
+        for policy in [PartitionPolicy::PerFileHash, PartitionPolicy::PerDirectoryHash] {
+            let grouping = policy == PartitionPolicy::PerDirectoryHash;
             let new = ShardMap::initial(policy, servers);
             prop_assert_eq!(new.epoch(), 0);
-            prop_assert_eq!(new.num_servers(), old.num_servers());
+            prop_assert_eq!(new.num_servers(), servers);
             for &h in &raw_hashes {
-                prop_assert_eq!(new.owner_of_hash(h), old.owner_of_hash(h));
+                prop_assert_eq!(new.owner_of_hash(h), modulo(h));
                 let id = DirId::generate(ServerId((h % 7) as u32), h);
-                prop_assert_eq!(new.dir_owner_by_id(&id), old.dir_owner_by_id(&id));
                 let fp = Fingerprint::from_raw(h);
-                prop_assert_eq!(new.dir_owner_by_fp(fp), old.dir_owner_by_fp(fp));
+                prop_assert_eq!(new.dir_owner_by_fp(fp), modulo(splitmix64(fp.raw())));
+                let content = if grouping { id.hash64() } else { splitmix64(fp.raw()) };
+                prop_assert_eq!(new.dir_content_owner(fp, &id), modulo(content));
             }
+            let file_hash = |key: &MetaKey| if grouping { key.pid.hash64() } else { key.hash64() };
             for &n in &names {
                 let key = MetaKey::new(DirId::ROOT, format!("f{n}"));
-                prop_assert_eq!(new.file_owner(&key), old.file_owner(&key));
+                prop_assert_eq!(new.file_owner(&key), modulo(file_hash(&key)));
                 let nested = MetaKey::new(DirId::generate(ServerId(2), n as u64), format!("g{n}"));
-                prop_assert_eq!(new.file_owner(&nested), old.file_owner(&nested));
+                prop_assert_eq!(new.file_owner(&nested), modulo(file_hash(&nested)));
             }
         }
     }
