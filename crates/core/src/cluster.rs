@@ -146,7 +146,6 @@ impl Cluster {
                     costs: cfg.cost_model(),
                     update_mode: cfg.update_mode(),
                     tracking: tracking_mode,
-                    proactive: cfg.proactive,
                     placement: placement.clone(),
                     server_nodes: server_nodes.clone(),
                     obs: obs.clone(),
@@ -441,7 +440,6 @@ impl Cluster {
                 costs: self.cfg.cost_model(),
                 update_mode: self.cfg.update_mode(),
                 tracking: self.tracking_mode,
-                proactive: self.cfg.proactive,
                 placement: self.placement.clone(),
                 server_nodes: self.server_nodes.clone(),
                 obs: self.obs.clone(),

@@ -1,7 +1,7 @@
 //! Cluster-level configuration.
 
 use switchfs_baselines::SystemKind;
-use switchfs_server::{CostModel, ProactiveConfig, UpdateMode};
+use switchfs_server::{CostModel, UpdateMode};
 use switchfs_simnet::{NetFaults, SimDuration};
 
 /// Where directory dirty state is tracked (the §7.3.3 comparison).
@@ -35,8 +35,6 @@ pub struct ClusterConfig {
     pub update_mode_override: Option<UpdateMode>,
     /// Force every dirty-set insert to overflow (§7.3.2).
     pub force_dirty_overflow: bool,
-    /// Proactive push / aggregation parameters.
-    pub proactive: ProactiveConfig,
     /// Network fault injection.
     pub net_faults: NetFaults,
     /// Deploy a leaf–spine fabric with this many racks and spine switches
@@ -62,7 +60,6 @@ impl ClusterConfig {
             tracking: TrackingChoice::InNetwork,
             update_mode_override: None,
             force_dirty_overflow: false,
-            proactive: ProactiveConfig::default(),
             net_faults: NetFaults::reliable(),
             leaf_spine: None,
             trace_capacity: None,

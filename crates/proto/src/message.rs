@@ -398,8 +398,8 @@ pub enum ServerMsg {
         applied: Vec<OpId>,
     },
     /// Synchronous remote directory update, used by the baselines
-    /// (E-InfiniFS / E-CFS cross-server double-inode operations) and by the
-    /// SwitchFS overflow fallback.
+    /// (E-InfiniFS / E-CFS cross-server double-inode operations) and by
+    /// SwitchFS's cross-server `rmdir`.
     RemoteDirUpdate {
         /// Request token for matching the acknowledgment.
         req_id: u64,
@@ -603,27 +603,10 @@ pub enum ServerMsg {
         req_id: u64,
         /// The shard being migrated.
         shard: u32,
-        /// Inodes stored under the shard.
-        inodes: Vec<(MetaKey, InodeAttrs)>,
-        /// Directory entry lists of directories owned by the shard.
-        entries: Vec<(DirId, DirEntry)>,
-        /// Owner-index entries (directory id → key) moving with the shard.
-        dir_index: Vec<(DirId, MetaKey)>,
-        /// Change-log entries pending for directories in the shard, with
-        /// their directory ids and keys.
-        pending: Vec<(DirId, MetaKey, ChangeLogEntry)>,
-        /// Duplicate-suppression set of already-applied remote change-log
-        /// entries not yet confirmed discarded by their holders (copied, not
-        /// moved: a superset is always safe). Bounded by the in-flight
-        /// confirmation window, so the per-shard payload stays small.
-        applied_entry_ids: Vec<OpId>,
-        /// The bounded FIFO of recently retired (holder-confirmed) entry
-        /// ids, shipped so a duplicate delayed across the flip is still
-        /// suppressed at the new owner.
-        retired_entry_ids: Vec<OpId>,
-        /// Cached client responses (copied so a retransmission that lands on
-        /// the new owner after the flip still gets the original answer).
-        completed: Vec<ClientResponse>,
+        /// The shard's stores plus copies of the source's whole
+        /// duplicate-suppression state (copied, not moved: a superset is
+        /// always safe).
+        state: ShardState,
     },
     /// Acknowledgment of a [`ServerMsg::ShardInstall`]: the target applied
     /// and durably logged the shard's state.
@@ -631,6 +614,31 @@ pub enum ServerMsg {
         /// Token copied from the install.
         req_id: u64,
     },
+}
+
+/// A server's stores and duplicate-suppression state: one shard's slice in a
+/// [`ServerMsg::ShardInstall`], or all of it in a checkpoint.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ShardState {
+    /// Inodes.
+    pub inodes: Vec<(MetaKey, InodeAttrs)>,
+    /// Directory entries, keyed by their directory's id.
+    pub entries: Vec<(DirId, DirEntry)>,
+    /// Owner-index entries (directory id → key).
+    pub dir_index: Vec<(DirId, MetaKey)>,
+    /// Pending change-log entries with their directory ids and keys, in
+    /// per-directory FIFO (commit) order: compaction depends on it.
+    pub pending: Vec<(DirId, MetaKey, ChangeLogEntry)>,
+    /// Ids of applied remote change-log entries not yet confirmed discarded
+    /// by their holders. Bounded by the in-flight confirmation window.
+    pub applied_entry_ids: Vec<OpId>,
+    /// The bounded FIFO of retired (holder-confirmed) entry ids, in
+    /// insertion order so the receiver keeps the eviction order.
+    pub retired_entry_ids: Vec<OpId>,
+    /// Cached responses of completed mutating operations, bounded by the
+    /// per-client acked watermark, so a retransmission still gets the
+    /// original result.
+    pub completed: Vec<ClientResponse>,
 }
 
 /// A single mutation inside a two-phase-commit transaction.

@@ -1195,27 +1195,9 @@ impl Server {
             ServerMsg::ShardInstall {
                 req_id,
                 shard,
-                inodes,
-                entries,
-                dir_index,
-                pending,
-                applied_entry_ids,
-                retired_entry_ids,
-                completed,
+                state,
             } => {
-                Box::pin(self.handle_shard_install(
-                    src,
-                    req_id,
-                    shard,
-                    inodes,
-                    entries,
-                    dir_index,
-                    pending,
-                    applied_entry_ids,
-                    retired_entry_ids,
-                    completed,
-                ))
-                .await;
+                Box::pin(self.handle_shard_install(src, req_id, shard, state)).await;
             }
             ServerMsg::ShardInstallAck { req_id } => {
                 self.complete_token(req_id, TokenReply::Ack);

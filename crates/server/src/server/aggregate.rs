@@ -18,7 +18,10 @@ use switchfs_proto::{
 };
 use switchfs_simnet::timeout;
 
-use crate::config::{TrackingMode, UpdateMode};
+use crate::config::{
+    TrackingMode, UpdateMode, IDLE_PUSH_AFTER, OWNER_AGGREGATE_AFTER, PROACTIVE_SCAN_INTERVAL,
+    PUSH_MTU_BYTES,
+};
 use crate::server::{AggCollector, Server};
 use crate::wal::KvEffect;
 
@@ -689,9 +692,8 @@ impl Server {
     /// The background loop driving MTU/idle-based pushes (holder side) and
     /// idle-triggered aggregations (owner side).
     pub(crate) async fn proactive_loop(&self) {
-        let cfg = self.cfg.proactive;
         loop {
-            self.handle.sleep(cfg.scan_interval).await;
+            self.handle.sleep(PROACTIVE_SCAN_INTERVAL).await;
             // Shutdown first: a *crashed* server's loop must still terminate
             // when the harness quiesces the simulation, or a run with an
             // unrecovered server never reaches quiescence (the crashed
@@ -713,15 +715,14 @@ impl Server {
 
     /// One round of holder-side pushes.
     pub(crate) async fn proactive_push_round(&self) {
-        let cfg = self.cfg.proactive;
         let now = self.handle.now();
         let mut to_push: Vec<(DirId, MetaKey, Fingerprint, Vec<ChangeLogEntry>)> = Vec::new();
         {
             let inner = self.inner.borrow();
             for (dir, fp) in inner.changelogs.dirty_dirs() {
                 if let Some(log) = inner.changelogs.get(&dir) {
-                    let idle = now.duration_since(log.last_append()) >= cfg.idle_push_after;
-                    if log.pending_bytes() >= cfg.mtu_bytes || (idle && !log.is_empty()) {
+                    let idle = now.duration_since(log.last_append()) >= IDLE_PUSH_AFTER;
+                    if log.pending_bytes() >= PUSH_MTU_BYTES || (idle && !log.is_empty()) {
                         to_push.push((dir, log.dir_key.clone(), fp, log.snapshot()));
                     }
                 }
@@ -772,14 +773,13 @@ impl Server {
 
     /// One round of owner-side proactive aggregations.
     pub(crate) async fn proactive_aggregate_round(&self) {
-        let cfg = self.cfg.proactive;
         let now = self.handle.now();
         let due: Vec<u64> = {
             let inner = self.inner.borrow();
             inner
                 .push_timers
                 .iter()
-                .filter(|(_, last)| now.duration_since(**last) >= cfg.owner_aggregate_after)
+                .filter(|(_, last)| now.duration_since(**last) >= OWNER_AGGREGATE_AFTER)
                 .map(|(fp, _)| *fp)
                 .collect()
         };

@@ -29,32 +29,13 @@
 //! local copy is stale and is dropped; otherwise the source still owns the
 //! shard and the cluster re-drives the migration.
 
-use switchfs_proto::message::{Body, ClientResponse, ServerMsg};
+use switchfs_proto::message::{Body, ServerMsg, ShardState};
 use switchfs_proto::{
-    ChangeLogEntry, DirId, Fingerprint, InodeAttrs, MetaKey, OpId, ServerId, ShardMap,
-    SharedPlacement,
+    ChangeLogEntry, DirId, Fingerprint, MetaKey, OpId, ServerId, ShardMap, SharedPlacement,
 };
 
 use crate::server::{Server, TokenReply};
 use crate::wal::{KvEffect, MigrationMarker, WalOp};
-
-/// The extracted slice of one shard's server-side state.
-#[derive(Default)]
-pub(crate) struct ShardExtract {
-    pub inodes: Vec<(MetaKey, InodeAttrs)>,
-    pub entries: Vec<(DirId, switchfs_proto::DirEntry)>,
-    pub dir_index: Vec<(DirId, MetaKey)>,
-    pub pending: Vec<(DirId, MetaKey, ChangeLogEntry)>,
-}
-
-impl ShardExtract {
-    fn is_empty(&self) -> bool {
-        self.inodes.is_empty()
-            && self.entries.is_empty()
-            && self.dir_index.is_empty()
-            && self.pending.is_empty()
-    }
-}
 
 /// The placement hash that owns a stored entry list: the directory's content
 /// hash, computed from the fingerprint of its owner-index record. Without a
@@ -72,7 +53,7 @@ fn dir_content_hash(placement: &SharedPlacement, dir: &DirId, dir_key: Option<&M
 impl Server {
     /// Extracts everything stored on this server that shard `shard` owns.
     /// Thin wrapper over the batched [`Server::collect_shards`].
-    pub(crate) fn collect_shard(&self, shard: u32) -> ShardExtract {
+    pub(crate) fn collect_shard(&self, shard: u32) -> ShardState {
         let shards: std::collections::BTreeSet<u32> = std::iter::once(shard).collect();
         self.collect_shards(&shards)
             .remove(&shard)
@@ -80,22 +61,21 @@ impl Server {
     }
 
     /// Extracts everything stored on this server that any shard in `shards`
-    /// owns, in ONE bucketing pass over the stores. A drain plan moving S
-    /// shards off one donor scans the donor's inodes / entry lists / owner
-    /// index / change-logs once instead of S times — the difference between
-    /// a linear and a quadratic decommission. An inode whose routing roles
+    /// owns, in ONE bucketing pass over the stores; the duplicate-suppression
+    /// fields stay empty ([`Server::dedup_snapshot`] fills them). A drain
+    /// plan moving S shards off one donor scans the donor's inodes / entry
+    /// lists / owner index / change-logs once instead of S times — the
+    /// difference between a linear and a quadratic decommission. An inode whose routing roles
     /// map to two shards of the batch appears in both extracts, exactly as
     /// two independent per-shard scans would collect it.
     pub(crate) fn collect_shards(
         &self,
         shards: &std::collections::BTreeSet<u32>,
-    ) -> std::collections::BTreeMap<u32, ShardExtract> {
+    ) -> std::collections::BTreeMap<u32, ShardState> {
         let placement = &self.cfg.placement;
         let inner = self.inner.borrow();
-        let mut out: std::collections::BTreeMap<u32, ShardExtract> = shards
-            .iter()
-            .map(|s| (*s, ShardExtract::default()))
-            .collect();
+        let mut out: std::collections::BTreeMap<u32, ShardState> =
+            shards.iter().map(|s| (*s, ShardState::default())).collect();
         for (key, attrs) in inner.inodes.iter() {
             let mut first_hit: Option<u32> = None;
             for h in placement.inode_hashes(key, attrs) {
@@ -137,44 +117,47 @@ impl Server {
             }
         }
         // Deterministic stream order regardless of hash-map iteration.
+        // Pending entries sort by directory alone: the stable sort keeps each
+        // change-log's FIFO (commit) order, which compaction relies on —
+        // entry ids from different clients do not follow it.
         for extract in out.values_mut() {
             extract.inodes.sort_by(|a, b| a.0.cmp(&b.0));
             extract
                 .entries
                 .sort_by(|a, b| (a.0, &a.1.name).cmp(&(b.0, &b.1.name)));
             extract.dir_index.sort_by_key(|e| e.0);
-            extract.pending.sort_by_key(|e| (e.0, e.2.entry_id));
+            extract.pending.sort_by_key(|e| e.0);
         }
         out
     }
 
-    /// Copies of the duplicate-suppression state shipped with every shard.
-    /// Deliberately re-snapshotted per migration rather than once per
-    /// rebalance: under live traffic, responses cached between two shards'
-    /// freezes exist only in the later snapshot, and the later shard's flip
-    /// redirects exactly those clients' retransmissions to the target — a
-    /// stale snapshot would let them re-execute. A superset is always safe,
-    /// and the acked watermark (responses) plus the holders' discard
-    /// confirmations (entry ids) keep each snapshot within the in-flight
-    /// window, so the per-shard payload stays small by construction.
-    pub(crate) fn dedup_snapshot(&self) -> (Vec<OpId>, Vec<OpId>, Vec<ClientResponse>) {
+    /// Fills `state`'s three duplicate-suppression fields with copies of
+    /// this server's whole duplicate-suppression state, for a checkpoint or
+    /// for one shard's migration. A migration re-snapshots per shard rather
+    /// than once per rebalance: under live traffic, responses cached between
+    /// two shards' freezes exist only in the later snapshot, and the later
+    /// shard's flip redirects exactly those clients' retransmissions to the
+    /// target — a stale snapshot would let them re-execute. A superset is
+    /// always safe, and the acked watermark (responses) plus the holders'
+    /// discard confirmations (entry ids) keep each snapshot within the
+    /// in-flight window, so the payload stays small by construction.
+    pub(crate) fn dedup_snapshot(&self, state: &mut ShardState) {
         let inner = self.inner.borrow();
-        let mut applied: Vec<OpId> = inner.applied_entry_ids.iter().copied().collect();
-        applied.sort_unstable();
-        // The retired FIFO ships in insertion order so the target's eviction
-        // order matches; both halves are bounded, so the payload is small.
-        let retired: Vec<OpId> = inner
+        state.applied_entry_ids = inner.applied_entry_ids.iter().copied().collect();
+        state.applied_entry_ids.sort_unstable();
+        // The retired FIFO keeps insertion order so the receiver's eviction
+        // order matches.
+        state.retired_entry_ids = inner
             .retired_entry_order
             .iter()
             .map(|(_, id)| *id)
             .collect();
-        let mut completed: Vec<ClientResponse> = inner
+        state.completed = inner
             .completed_ops
             .values()
             .flat_map(|m| m.values().cloned())
             .collect();
-        completed.sort_by_key(|r| r.op_id);
-        (applied, retired, completed)
+        state.completed.sort_by_key(|r| r.op_id);
     }
 
     /// True when the directory addressed by `fp`/`dir` lies in a shard this
@@ -354,13 +337,13 @@ impl Server {
             if self.is_crashed() {
                 break;
             }
-            let extract = extracts.remove(shard).unwrap_or_default();
+            let mut state = extracts.remove(shard).unwrap_or_default();
             // Re-snapshotted per shard: responses cached while earlier
             // shards of the batch streamed exist only in later snapshots,
             // and a superset is always safe.
-            let (applied_entry_ids, retired_entry_ids, completed) = self.dedup_snapshot();
+            self.dedup_snapshot(&mut state);
             // Stream cost: one KV read per extracted item.
-            let items = extract.inodes.len() + extract.entries.len() + extract.pending.len();
+            let items = state.inodes.len() + state.entries.len() + state.pending.len();
             self.cpu
                 .run(self.cfg.costs.kv_get * items.max(1) as u64)
                 .await;
@@ -369,20 +352,14 @@ impl Server {
                 None,
                 switchfs_obs::EventKind::MigrationStream {
                     shard: *shard,
-                    inodes: extract.inodes.len() as u32,
+                    inodes: state.inodes.len() as u32,
                 },
             );
             let token = self.next_token();
             let body = Body::Server(ServerMsg::ShardInstall {
                 req_id: token,
                 shard: *shard,
-                inodes: extract.inodes.clone(),
-                entries: extract.entries.clone(),
-                dir_index: extract.dir_index.clone(),
-                pending: extract.pending.clone(),
-                applied_entry_ids,
-                retired_entry_ids,
-                completed,
+                state: state.clone(),
             });
             let acked = matches!(
                 self.send_with_ack(self.cfg.node_of(*target), token, body)
@@ -404,7 +381,7 @@ impl Server {
                     new_epoch: self.cfg.placement.epoch(),
                 },
             );
-            self.delete_shard_local(&extract, true).await;
+            self.delete_shard_local(&state, true).await;
             self.log_migration_marker(MigrationMarker::Completed { shard: *shard })
                 .await;
             {
@@ -417,17 +394,14 @@ impl Server {
         migrated
     }
 
-    /// Deletes an extracted slice of shard state, keeping any object that
-    /// still has a routing role mapping to this server (grouping policies
-    /// can place two replicas of one directory on one server with only one
-    /// of them migrating). All deletions are WAL-logged, so a replay
-    /// reconstructs the same purge. Used by the source after the flip, and
-    /// by the target to purge the stale leftovers of a lost-ack earlier
-    /// install attempt before applying a retried one.
-    async fn delete_shard_local(&self, extract: &ShardExtract, drop_changelogs: bool) {
+    /// The deletions that purge `state`'s stores from this server, keeping
+    /// any object that still has a routing role mapping here (grouping
+    /// policies can place two replicas of one directory on one server with
+    /// only one of them migrating).
+    fn shard_delete_effects(&self, state: &ShardState) -> Vec<KvEffect> {
         let placement = &self.cfg.placement;
         let mut effects = Vec::new();
-        for (key, attrs) in &extract.inodes {
+        for (key, attrs) in &state.inodes {
             let keep = placement
                 .inode_hashes(key, attrs)
                 .iter()
@@ -436,14 +410,34 @@ impl Server {
                 effects.push(KvEffect::DeleteInode(key.clone()));
             }
         }
-        for (dir, entry) in &extract.entries {
+        for (dir, entry) in &state.entries {
             effects.push(KvEffect::DeleteEntry(*dir, entry.name.clone()));
         }
-        for (dir, key) in &extract.dir_index {
+        for (dir, key) in &state.dir_index {
             if placement.owner_of_hash(dir_content_hash(placement, dir, Some(key))) != self.cfg.id {
                 effects.push(KvEffect::UnindexDir(*dir));
             }
         }
+        effects
+    }
+
+    /// Drops the volatile change-logs of `state`'s pending directories.
+    fn drop_shard_changelogs(&self, state: &ShardState) {
+        let mut inner = self.inner.borrow_mut();
+        let dirs: std::collections::BTreeSet<DirId> =
+            state.pending.iter().map(|(d, _, _)| *d).collect();
+        for dir in dirs {
+            inner.changelogs.remove(&dir);
+        }
+    }
+
+    /// Deletes an extracted slice of shard state
+    /// ([`Server::shard_delete_effects`]). All deletions are WAL-logged, so
+    /// a replay reconstructs the same purge. Used by the source after the
+    /// flip, and by the target to purge the stale leftovers of a lost-ack
+    /// earlier install attempt before applying a retried one.
+    async fn delete_shard_local(&self, state: &ShardState, drop_changelogs: bool) {
+        let effects = self.shard_delete_effects(state);
         self.apply_and_log(None, effects, None, Vec::new()).await;
         // Source side only (`drop_changelogs`): the moved pending change-log
         // entries now live (durably) at the target; drop the volatile copies
@@ -453,31 +447,19 @@ impl Server {
         // already applied. The target's stale-purge passes `false`: its
         // change-log holds live holder-side entries, never stale state.
         if drop_changelogs {
-            let mut inner = self.inner.borrow_mut();
-            let dirs: std::collections::BTreeSet<DirId> =
-                extract.pending.iter().map(|(d, _, _)| *d).collect();
-            for dir in dirs {
-                inner.changelogs.remove(&dir);
-            }
+            self.drop_shard_changelogs(state);
         }
     }
 
     /// Target side of the stream: applies and durably logs one shard's
     /// state, then acks. Idempotent — a retransmitted install is re-acked
     /// without re-appending the pending change-log entries.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) async fn handle_shard_install(
         &self,
         src: switchfs_simnet::NodeId,
         req_id: u64,
         shard: u32,
-        inodes: Vec<(MetaKey, InodeAttrs)>,
-        entries: Vec<(DirId, switchfs_proto::DirEntry)>,
-        dir_index: Vec<(DirId, MetaKey)>,
-        pending: Vec<(DirId, MetaKey, ChangeLogEntry)>,
-        applied_entry_ids: Vec<OpId>,
-        retired_entry_ids: Vec<OpId>,
-        completed: Vec<ClientResponse>,
+        state: ShardState,
     ) {
         let install_key = (src.0, req_id);
         {
@@ -507,10 +489,21 @@ impl Server {
         // of a decommission drain is a loaded survivor, not a fresh node),
         // and dropping them would lose directory updates forever — the
         // pending-append below dedups against them by entry id instead.
+        // (A collected slice has empty duplicate-suppression fields, so it
+        // equals the default exactly when it holds nothing.)
         let stale = self.collect_shard(shard);
-        if !stale.is_empty() {
+        if stale != ShardState::default() {
             self.delete_shard_local(&stale, false).await;
         }
+        let ShardState {
+            inodes,
+            entries,
+            dir_index,
+            pending,
+            applied_entry_ids,
+            retired_entry_ids,
+            completed,
+        } = state;
         let items = inodes.len() + entries.len() + pending.len();
         self.cpu
             .run(self.cfg.costs.kv_put * items.max(1) as u64)
@@ -600,7 +593,6 @@ impl Server {
             inner.in_progress_installs.remove(&install_key);
             inner.stats.shards_migrated_in += 1;
         }
-        let _ = shard;
         self.send_plain(src, Body::Server(ServerMsg::ShardInstallAck { req_id }));
     }
 
@@ -698,31 +690,14 @@ impl Server {
     /// Drops every locally-stored object owned by `shard` (recovery of an
     /// interrupted migration whose flip already happened: the WAL replay
     /// rebuilt state the target now owns). Objects with another routing
-    /// role still mapping here are kept, like the post-flip source delete.
+    /// role still mapping here are kept, like the post-flip source delete;
+    /// unlike it, the purge is not logged: the unresolved `Started` marker
+    /// makes a later recovery repeat it.
     pub(crate) fn drop_shard_state(&self, shard: u32) {
-        let placement = self.cfg.placement.clone();
-        let extract = self.collect_shard(shard);
-        let mut inner = self.inner.borrow_mut();
-        for (key, attrs) in &extract.inodes {
-            let keep = placement
-                .inode_hashes(key, attrs)
-                .iter()
-                .any(|h| placement.owner_of_hash(*h) == self.cfg.id);
-            if keep {
-                continue;
-            }
-            inner.inodes.delete(key);
+        let state = self.collect_shard(shard);
+        for effect in self.shard_delete_effects(&state) {
+            self.inner.borrow_mut().apply_effect(&effect);
         }
-        for (dir, entry) in &extract.entries {
-            inner.remove_entry(*dir, &entry.name);
-        }
-        for (dir, _) in &extract.dir_index {
-            inner.dir_index.remove(dir);
-        }
-        let dirs: std::collections::BTreeSet<DirId> =
-            extract.pending.iter().map(|(d, _, _)| *d).collect();
-        for dir in dirs {
-            inner.changelogs.remove(&dir);
-        }
+        self.drop_shard_changelogs(&state);
     }
 }

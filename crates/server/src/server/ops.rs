@@ -531,7 +531,7 @@ impl Server {
                     .await
             }
             TrackingMode::DedicatedServer(coord) => {
-                self.async_commit_dedicated(coord, parent, entry).await
+                self.async_commit_dedicated(coord, parent).await
             }
             TrackingMode::OwnerServer => self.async_commit_owner(parent).await,
         }
@@ -600,12 +600,7 @@ impl Server {
         CommitOutcome::NeedDirectReply
     }
 
-    async fn async_commit_dedicated(
-        &self,
-        coord: NodeId,
-        parent: &ParentRef,
-        entry: &ChangeLogEntry,
-    ) -> CommitOutcome {
+    async fn async_commit_dedicated(&self, coord: NodeId, parent: &ParentRef) -> CommitOutcome {
         let token = self.next_token();
         let rx = self.register_token(token);
         self.send_plain(
@@ -617,16 +612,10 @@ impl Server {
                 seq: 0,
             }),
         );
-        let reply = timeout(&self.handle, self.cfg.costs.request_timeout, rx.recv()).await;
-        match reply {
-            Some(Ok(crate::server::TokenReply::Dirty(DirtyRet::Overflowed))) => {
-                // Fall back to a synchronous remote update, as the in-network
-                // overflow path would.
-                self.sync_fallback_update(parent, entry).await;
-                CommitOutcome::NeedDirectReply
-            }
-            _ => CommitOutcome::NeedDirectReply,
-        }
+        // The coordinator's set is unbounded, so the insert never
+        // overflows: the reply only paces the commit.
+        let _ = timeout(&self.handle, self.cfg.costs.request_timeout, rx.recv()).await;
+        CommitOutcome::NeedDirectReply
     }
 
     async fn async_commit_owner(&self, parent: &ParentRef) -> CommitOutcome {
@@ -644,34 +633,6 @@ impl Server {
             .send_with_ack(self.cfg.node_of(owner), token, body)
             .await;
         CommitOutcome::NeedDirectReply
-    }
-
-    /// Applies a deferred update synchronously at the parent owner when the
-    /// dirty-set insert cannot be used (dedicated-coordinator overflow).
-    async fn sync_fallback_update(&self, parent: &ParentRef, entry: &ChangeLogEntry) {
-        let owner = self.cfg.placement.dir_owner_by_fp(parent.fp);
-        let token = self.next_token();
-        let discard_confirm = self.inner.borrow_mut().take_discard_confirms(owner);
-        let body = Body::Server(ServerMsg::RemoteDirUpdate {
-            req_id: token,
-            dir_key: parent.key.clone(),
-            entry: entry.clone(),
-            discard_confirm,
-        });
-        let acked = matches!(
-            self.send_with_ack(self.cfg.node_of(owner), token, body)
-                .await,
-            Some(crate::server::TokenReply::Ack)
-        );
-        self.discard_local_entry(parent, entry.entry_id);
-        if acked {
-            let me = self.cfg.id;
-            let now = self.handle.now();
-            self.inner
-                .borrow_mut()
-                .queue_discard_confirm(me, owner, now, [entry.entry_id]);
-        }
-        self.inner.borrow_mut().stats.fallback_syncs += 1;
     }
 
     /// Removes one change-log entry that was applied out-of-band and marks
@@ -768,7 +729,7 @@ impl Server {
     }
 
     /// Handles a synchronous remote directory update (baseline double-inode
-    /// operations and the dedicated-coordinator overflow fallback).
+    /// operations).
     pub(crate) async fn handle_remote_dir_update(
         &self,
         src: NodeId,

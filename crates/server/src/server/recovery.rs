@@ -19,7 +19,7 @@
 //! empty dirty set.
 
 use switchfs_obs::EventKind;
-use switchfs_proto::message::{Body, ServerMsg};
+use switchfs_proto::message::{Body, ServerMsg, ShardState};
 use switchfs_proto::{Fingerprint, TraceId};
 
 use crate::server::rename::PreparedTxn;
@@ -361,46 +361,42 @@ impl Server {
     /// Writes a checkpoint of the current volatile state, allowing the WAL
     /// prefix to be truncated (the recovery-time optimization §7.7 mentions).
     pub fn checkpoint(&self) {
-        let data = {
+        let mut data = {
             let inner = self.inner.borrow();
             CheckpointData {
-                inodes: inner
-                    .inodes
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-                entries: inner
-                    .entries
-                    .iter()
-                    .flat_map(|(d, c)| c.iter().map(move |e| (*d, e.clone())))
-                    .collect(),
-                dir_index: inner
-                    .dir_index
-                    .iter()
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect(),
+                state: ShardState {
+                    inodes: inner
+                        .inodes
+                        .iter()
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect(),
+                    entries: inner
+                        .entries
+                        .iter()
+                        .flat_map(|(d, c)| c.iter().map(move |e| (*d, e.clone())))
+                        .collect(),
+                    dir_index: inner
+                        .dir_index
+                        .iter()
+                        .map(|(k, v)| (*k, v.clone()))
+                        .collect(),
+                    pending: {
+                        let mut out = Vec::new();
+                        for (dir, _) in inner.changelogs.dirty_dirs() {
+                            if let Some(log) = inner.changelogs.get(&dir) {
+                                for e in log.entries() {
+                                    out.push((dir, log.dir_key.clone(), e.clone()));
+                                }
+                            }
+                        }
+                        out
+                    },
+                    ..ShardState::default()
+                },
                 invalidation: inner
                     .invalidation
                     .iter()
                     .map(|(k, v)| (*k, v.clone()))
-                    .collect(),
-                pending: {
-                    let mut out = Vec::new();
-                    for (dir, fp) in inner.changelogs.dirty_dirs() {
-                        if let Some(log) = inner.changelogs.get(&dir) {
-                            for e in log.entries() {
-                                out.push((dir, log.dir_key.clone(), e.clone()));
-                            }
-                        }
-                        let _ = fp;
-                    }
-                    out
-                },
-                applied_entry_ids: inner.applied_entry_ids.iter().copied().collect(),
-                retired_entry_ids: inner
-                    .retired_entry_order
-                    .iter()
-                    .map(|(_, id)| *id)
                     .collect(),
                 prepared_txns: inner
                     .prepared_txns
@@ -408,17 +404,9 @@ impl Server {
                     .map(|(id, p)| (*id, p.coordinator, p.ops.clone()))
                     .collect(),
                 decided_txns: inner.decided_txns.iter().map(|(k, v)| (*k, *v)).collect(),
-                completed_ops: {
-                    let mut v: Vec<_> = inner
-                        .completed_ops
-                        .values()
-                        .flat_map(|m| m.values().cloned())
-                        .collect();
-                    v.sort_by_key(|r| r.op_id);
-                    v
-                },
             }
         };
+        self.dedup_snapshot(&mut data.state);
         let mut durable = self.durable.borrow_mut();
         // Checkpoint at the durable watermark, never past it: a record still
         // in the volatile tail may not survive the next crash, and
@@ -433,26 +421,27 @@ impl Server {
 
     fn load_checkpoint(&self, data: &CheckpointData) {
         let mut inner = self.inner.borrow_mut();
-        for (k, v) in &data.inodes {
+        let state = &data.state;
+        for (k, v) in &state.inodes {
             inner.inodes.put(k.clone(), v.clone());
         }
-        for (d, e) in &data.entries {
+        for (d, e) in &state.entries {
             inner.put_entry(*d, e.clone());
         }
-        for (id, key) in &data.dir_index {
+        for (id, key) in &state.dir_index {
             inner.dir_index.insert(*id, key.clone());
         }
         for (id, key) in &data.invalidation {
             inner.invalidation.insert(*id, key.clone());
         }
-        for id in &data.applied_entry_ids {
+        for id in &state.applied_entry_ids {
             inner.applied_entry_ids.insert(*id);
         }
         let now = self.handle.now();
-        for id in &data.retired_entry_ids {
+        for id in &state.retired_entry_ids {
             inner.retire_entry_id(*id, now);
         }
-        for (dir, key, entry) in &data.pending {
+        for (dir, key, entry) in &state.pending {
             let fp = Fingerprint::of_dir(&key.pid, &key.name);
             inner.changelogs.append(*dir, key, fp, entry.clone(), now);
         }
@@ -469,7 +458,7 @@ impl Server {
         for (txn_id, commit) in &data.decided_txns {
             inner.decided_txns.insert(*txn_id, *commit);
         }
-        for response in &data.completed_ops {
+        for response in &state.completed {
             inner.cache_response(response.clone());
         }
     }

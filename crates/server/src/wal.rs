@@ -8,7 +8,7 @@
 //! [`crate::server::Server::recover`].
 
 use switchfs_kvstore::{Checkpoint, Wal};
-use switchfs_proto::message::{ClientResponse, TxnOp};
+use switchfs_proto::message::{ClientResponse, ShardState, TxnOp};
 use switchfs_proto::{ChangeLogEntry, DirEntry, DirId, InodeAttrs, MetaKey, OpId, ServerId};
 
 /// One mutation against the volatile key-value stores, replayable during
@@ -239,33 +239,17 @@ pub struct DurableState {
 /// of a WAL LSN.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointData {
-    /// All inodes.
-    pub inodes: Vec<(MetaKey, InodeAttrs)>,
-    /// All directory entries.
-    pub entries: Vec<(DirId, DirEntry)>,
-    /// The directory owner index.
-    pub dir_index: Vec<(DirId, MetaKey)>,
+    /// Every store and the whole duplicate-suppression state — the same
+    /// bundle a shard migration ships, here for all shards at once.
+    pub state: ShardState,
     /// The invalidation list.
     pub invalidation: Vec<(DirId, MetaKey)>,
-    /// Change-log entries still pending, with their directory key.
-    pub pending: Vec<(DirId, MetaKey, ChangeLogEntry)>,
-    /// Ids of remote entries applied but not yet confirmed discarded by
-    /// their holders (bounded by the in-flight confirmation window).
-    pub applied_entry_ids: Vec<OpId>,
-    /// The bounded FIFO of retired (holder-confirmed) entry ids, in
-    /// insertion order so a reload preserves the eviction order.
-    pub retired_entry_ids: Vec<OpId>,
     /// In-doubt prepared transactions (`txn_id`, coordinator, staged ops):
     /// prepared state is durable (§5.4.2), so a checkpoint must carry it
     /// across WAL truncation.
     pub prepared_txns: Vec<(u64, ServerId, Vec<TxnOp>)>,
     /// Durable commit decisions this server made as a rename coordinator.
     pub decided_txns: Vec<(u64, bool)>,
-    /// Cached responses of completed mutating operations (the duplicate-
-    /// suppression cache): bounded by the per-client acked watermark, so the
-    /// snapshot stays small, and carried across WAL truncation so a
-    /// retransmission spanning a crash still gets the original result.
-    pub completed_ops: Vec<ClientResponse>,
 }
 
 impl DurableState {

@@ -13,13 +13,11 @@ use std::collections::BTreeSet;
 
 use switchfs_proto::{DirtyRet, DirtySetOp, DirtyState, Fingerprint};
 
-/// A set-based dirty set with an optional capacity bound. Ordered set, not a
-/// std `HashSet`: lookup-only today, but the aggregation path must be free
+/// An unbounded set-based dirty set. Ordered set, not a std `HashSet`: lookup-only today, but the aggregation path must be free
 /// of std-`RandomState` so cross-process same-seed runs stay bit-identical.
 #[derive(Debug, Clone, Default)]
 pub struct SoftwareDirtySet {
     set: BTreeSet<u64>,
-    capacity: Option<usize>,
     inserts: u64,
     queries: u64,
     removes: u64,
@@ -31,24 +29,10 @@ impl SoftwareDirtySet {
         Self::default()
     }
 
-    /// Creates a dirty set that rejects inserts beyond `capacity` entries.
-    pub fn with_capacity_limit(capacity: usize) -> Self {
-        SoftwareDirtySet {
-            capacity: Some(capacity),
-            ..Self::default()
-        }
-    }
-
-    /// Inserts a fingerprint; returns `false` if the capacity bound is hit.
-    pub fn insert(&mut self, fp: Fingerprint) -> bool {
+    /// Inserts a fingerprint. Idempotent.
+    pub fn insert(&mut self, fp: Fingerprint) {
         self.inserts += 1;
-        if let Some(cap) = self.capacity {
-            if !self.set.contains(&fp.raw()) && self.set.len() >= cap {
-                return false;
-            }
-        }
         self.set.insert(fp.raw());
-        true
     }
 
     /// Queries a fingerprint.
@@ -68,11 +52,8 @@ impl SoftwareDirtySet {
     pub fn apply(&mut self, op: DirtySetOp, fp: Fingerprint) -> DirtyRet {
         match op {
             DirtySetOp::Insert => {
-                if self.insert(fp) {
-                    DirtyRet::Inserted
-                } else {
-                    DirtyRet::Overflowed
-                }
+                self.insert(fp);
+                DirtyRet::Inserted
             }
             DirtySetOp::Query => DirtyRet::State(if self.query(fp) {
                 DirtyState::Scattered
@@ -120,22 +101,11 @@ mod tests {
     fn insert_query_remove_roundtrip() {
         let mut s = SoftwareDirtySet::new();
         assert!(!s.query(fp(1)));
-        assert!(s.insert(fp(1)));
+        s.insert(fp(1));
         assert!(s.query(fp(1)));
         s.remove(fp(1));
         assert!(!s.query(fp(1)));
         assert_eq!(s.total_ops(), 5);
-    }
-
-    #[test]
-    fn capacity_limit_rejects_new_entries_only() {
-        let mut s = SoftwareDirtySet::with_capacity_limit(2);
-        assert!(s.insert(fp(1)));
-        assert!(s.insert(fp(2)));
-        assert!(!s.insert(fp(3)));
-        // Re-inserting an existing entry is always allowed.
-        assert!(s.insert(fp(1)));
-        assert_eq!(s.len(), 2);
     }
 
     #[test]

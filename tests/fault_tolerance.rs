@@ -287,6 +287,58 @@ fn checkpoint_bounds_wal_replay() {
     });
 }
 
+/// A checkpoint carries the whole duplicate-suppression state: applied
+/// remote entry ids, the retired FIFO and the cached responses, exactly as
+/// many of each as the server holds when the checkpoint is taken.
+#[test]
+fn checkpoint_carries_the_whole_duplicate_suppression_state() {
+    use switchfs::workloads::{NamespaceSpec, OpKind, WorkloadBuilder};
+
+    let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
+    cfg.servers = 4;
+    cfg.clients = 4;
+    let mut cluster = Cluster::new(cfg);
+    let ns = NamespaceSpec::multi_dir(16, 0);
+    for d in ns.all_dirs() {
+        cluster.preload_dir(&d);
+    }
+    let mut builder = WorkloadBuilder::new(ns, 11);
+    let report = cluster.run_workload(builder.uniform(OpKind::Create, 2_000), 64, None);
+    assert_eq!(report.ops, 2_000);
+    // No settle: discard confirmations are still in flight, so every kind
+    // of duplicate-suppression state is non-empty somewhere.
+    let servers = cluster.servers();
+    assert!(servers.iter().any(|s| s.applied_entry_id_count() > 0));
+    assert!(servers.iter().any(|s| s.retired_entry_id_count() > 0));
+    assert!(servers.iter().any(|s| s.completed_op_count() > 0));
+
+    cluster.checkpoint_all();
+    for (i, s) in servers.iter().enumerate() {
+        let (_, data) = cluster
+            .durable_state(i)
+            .borrow()
+            .checkpoint
+            .load()
+            .expect("checkpoint stored");
+        let state = &data.state;
+        assert_eq!(
+            state.applied_entry_ids.len(),
+            s.applied_entry_id_count(),
+            "server {i}: applied entry ids"
+        );
+        assert_eq!(
+            state.retired_entry_ids.len(),
+            s.retired_entry_id_count(),
+            "server {i}: retired entry ids"
+        );
+        assert_eq!(
+            state.completed.len(),
+            s.completed_op_count(),
+            "server {i}: cached responses"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Torn-write disk chaos: checksummed WAL + persist-ordering barriers (PR 6)
 // ---------------------------------------------------------------------------
@@ -988,6 +1040,65 @@ fn add_server_rebalances_a_fair_share_and_preserves_the_namespace() {
         }
         let dir = client.statdir("/elastic").await.unwrap();
         assert_eq!(dir.size, 140);
+    });
+}
+
+/// Regression: a migrated change-log keeps its FIFO (commit) order. Client 1
+/// creates a name and client 0 then deletes it; both change-log entries sit
+/// at the directory's content owner when its shard moves to a new server.
+/// The stream used to sort pending entries by entry id, which put client 0's
+/// delete ahead of client 1's create, and the target's compaction brought
+/// the deleted name back.
+#[test]
+fn migrated_changelog_keeps_its_fifo_order() {
+    use switchfs::proto::{DirId, Fingerprint, MetaKey, ServerId};
+
+    let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
+    cfg.servers = 4;
+    cfg.clients = 2;
+    let mut cluster = Cluster::new(cfg);
+    // No proactive push or aggregation: the entries stay pending.
+    for s in cluster.servers() {
+        s.stop_background();
+    }
+    let client = cluster.client(0);
+    let dir = cluster.block_on(async move { client.mkdir("/d").await.unwrap() });
+    let placement = cluster.placement();
+    let fp = Fingerprint::of_dir(&DirId::ROOT, "d");
+    let owner = placement.dir_content_owner(fp, &dir.id);
+    // A name whose inode (and so its change-log entries) lives at the
+    // directory's content owner.
+    let name = (0..64)
+        .map(|i| format!("x{i}"))
+        .find(|n| placement.file_owner(&MetaKey::new(dir.id, n)) == owner)
+        .expect("some name hashes to the content owner");
+    let path = format!("/d/{name}");
+    let source = cluster.servers()[owner.0 as usize].clone();
+    let pending_before = source.pending_changelog_entries();
+    let (creator, deleter) = (cluster.client(1), cluster.client(0));
+    cluster.block_on(async move {
+        creator.create(&path).await.unwrap();
+        deleter.delete(&path).await.unwrap();
+    });
+    assert_eq!(source.pending_changelog_entries(), pending_before + 2);
+
+    let shard = placement.shard_of_hash(placement.dir_content_hash(fp, &dir.id));
+    let target = ServerId(cluster.add_server() as u32);
+    let migrated = cluster.block_on(async move {
+        source
+            .migrate_shard(shard, target, move || placement.assign(shard, target))
+            .await
+    });
+    assert!(migrated);
+    for s in cluster.servers() {
+        s.restart_background();
+    }
+
+    let client = cluster.client(0);
+    cluster.block_on(async move {
+        let (_, entries) = client.readdir("/d").await.unwrap();
+        let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
+        assert!(names.is_empty(), "deleted name resurrected: {names:?}");
     });
 }
 
