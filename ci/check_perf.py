@@ -14,8 +14,12 @@ checked-in baseline:
 3. the `metrics` experiment (the one run with the flight recorder ON) must
    be present with the core unified-registry rows, prove that the
    tracing-enabled run completed (`client.ops_issued` > 0 and
-   `obs.events_recorded` > 0), and satisfy the WAL watermark invariant
-   (`wal.bytes_flushed` <= `wal.bytes_appended`).
+   `obs.events_recorded` > 0), satisfy the WAL watermark invariant
+   (`wal.bytes_flushed` <= `wal.bytes_appended`), and keep the WAL's
+   deterministic work count flat (`wal.records_visited` <= 2 x
+   `wal.appends`: a flush visits each record once and a mark visits each
+   record once, so a reintroduced whole-log scan fails here on any machine
+   instead of hiding inside the wall-clock budget).
 
 Usage: check_perf.py [SWEEP_JSON] [BASELINE_JSON]
 """
@@ -25,6 +29,8 @@ import sys
 
 ELASTIC_EXPERIMENTS = ("rebalance", "decommission")
 WALL_CLOCK_FACTOR = 3.0
+# Records the WAL may visit per append: one flush visit plus one mark.
+WAL_VISITS_PER_APPEND = 2
 # Named rows the unified metrics registry must always expose.
 REQUIRED_METRICS = (
     "client.ops_issued",
@@ -40,6 +46,7 @@ REQUIRED_METRICS = (
     "wal.appends",
     "wal.bytes_appended",
     "wal.bytes_flushed",
+    "wal.records_visited",
 )
 
 
@@ -102,6 +109,15 @@ def main() -> int:
                 failures.append(
                     "metrics: wal.bytes_flushed exceeds wal.bytes_appended "
                     "(flush watermark overran the append counter)"
+                )
+            visited = values["wal.records_visited"]
+            appends = values["wal.appends"]
+            print(f"metrics: wal.records_visited={visited:g}, wal.appends={appends:g}")
+            if visited > WAL_VISITS_PER_APPEND * appends:
+                failures.append(
+                    f"metrics: wal.records_visited {visited:g} exceeds "
+                    f"{WAL_VISITS_PER_APPEND} x wal.appends {appends:g} "
+                    "(a WAL call is scanning the whole log)"
                 )
 
     if failures:

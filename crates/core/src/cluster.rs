@@ -619,7 +619,8 @@ impl Cluster {
             .counter("client.map_refreshes", c.map_refreshes);
 
         let mut kv = switchfs_kvstore::KvStats::default();
-        let (mut wal_appends, mut wal_bytes, mut wal_flushed_bytes) = (0u64, 0u64, 0u64);
+        let (mut wal_appends, mut wal_visited) = (0u64, 0u64);
+        let (mut wal_bytes, mut wal_flushed_bytes) = (0u64, 0u64);
         for (server, durable) in self.servers.iter().zip(&self.durables) {
             let st = server.kv_stats();
             kv.gets += st.gets;
@@ -628,6 +629,7 @@ impl Cluster {
             kv.scans += st.scans;
             let d = durable.borrow();
             wal_appends += d.wal.appends();
+            wal_visited += d.wal.records_visited();
             wal_bytes += d.wal.bytes();
             wal_flushed_bytes += d.wal.flushed_bytes();
         }
@@ -636,6 +638,7 @@ impl Cluster {
             .counter("kv.deletes", kv.deletes)
             .counter("kv.scans", kv.scans)
             .counter("wal.appends", wal_appends)
+            .counter("wal.records_visited", wal_visited)
             .counter("wal.bytes_appended", wal_bytes)
             .counter("wal.bytes_flushed", wal_flushed_bytes);
 

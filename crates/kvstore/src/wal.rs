@@ -116,6 +116,10 @@ pub struct Wal<R> {
     /// crash-vulnerable suffix; after recovery the survivors' bytes are
     /// credited here (whatever survived a crash is by definition on media).
     flushed_bytes: u64,
+    /// Records visited by linear scans and found by LSN lookups over the
+    /// log's lifetime: a deterministic work counter that stays proportional
+    /// to [`Wal::appends`] as long as no hot-path call walks the whole log.
+    records_visited: u64,
 }
 
 impl<R> Default for Wal<R> {
@@ -128,6 +132,7 @@ impl<R> Default for Wal<R> {
             bytes: 0,
             appends: 0,
             flushed_bytes: 0,
+            records_visited: 0,
         }
     }
 }
@@ -161,19 +166,30 @@ impl<R: Clone> Wal<R> {
         lsn
     }
 
+    /// Index of the first record above `lsn`. Records are kept in LSN
+    /// order, so this is a binary search, not a scan.
+    fn first_above(&self, lsn: u64) -> usize {
+        self.records.partition_point(|r| r.lsn <= lsn)
+    }
+
+    /// Credits the unflushed records before index `end` to
+    /// [`Wal::flushed_bytes`], visiting only those records, and returns how
+    /// many there were.
+    fn credit_unflushed(&mut self, end: usize) -> usize {
+        let start = self.first_above(self.flushed).min(end);
+        let span = &self.records[start..end];
+        self.records_visited += span.len() as u64;
+        self.flushed_bytes += span.iter().map(|r| r.size).sum::<u64>();
+        span.len()
+    }
+
     /// Advances the durable watermark over every appended record (group
     /// commit: one flush persists the whole volatile suffix, whichever
     /// operations appended it). Returns how many records became durable.
+    /// Visits only that suffix, never the durable prefix.
     pub fn flush(&mut self) -> usize {
-        let target = self.next_lsn.saturating_sub(1);
-        let mut newly = 0;
-        for r in &self.records {
-            if r.lsn > self.flushed && r.lsn <= target {
-                newly += 1;
-                self.flushed_bytes += r.size;
-            }
-        }
-        self.flushed = self.flushed.max(target);
+        let newly = self.credit_unflushed(self.records.len());
+        self.flushed = self.flushed.max(self.next_lsn.saturating_sub(1));
         newly
     }
 
@@ -185,7 +201,7 @@ impl<R: Clone> Wal<R> {
     /// Number of appended-but-not-yet-flushed records (the crash-vulnerable
     /// suffix).
     pub fn unflushed_len(&self) -> usize {
-        self.records.iter().filter(|r| r.lsn > self.flushed).count()
+        self.records.len() - self.first_above(self.flushed)
     }
 
     /// The current crash epoch (bumped by every [`Wal::recover_truncate`]).
@@ -202,28 +218,23 @@ impl<R: Clone> Wal<R> {
     /// recovery must not trust it.
     pub fn crash_apply(&mut self, tear_seed: u64) -> TornTail {
         let mut out = TornTail::default();
-        let flushed = self.flushed;
-        self.records.retain_mut(|r| {
-            if r.lsn <= flushed {
-                return true;
-            }
+        let tail = self.records.split_off(self.first_above(self.flushed));
+        self.records_visited += tail.len() as u64;
+        for mut r in tail {
             match mix64(tear_seed ^ r.lsn.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % 4 {
-                0 | 1 => {
-                    out.kept += 1;
-                    true
-                }
+                0 | 1 => out.kept += 1,
                 2 => {
                     // Torn: the header checksum no longer verifies.
                     r.checksum ^= 0xdead_beef_dead_beef;
                     out.torn += 1;
-                    true
                 }
                 _ => {
                     out.dropped += 1;
-                    false
+                    continue;
                 }
             }
-        });
+            self.records.push(r);
+        }
         out
     }
 
@@ -251,46 +262,28 @@ impl<R: Clone> Wal<R> {
             .filter(|r| !r.is_intact())
             .count();
         let truncated = self.records.len() - cut;
+        self.records_visited += self.records.len() as u64;
         self.records.truncate(cut);
-        if let Some(last) = self.records.last() {
-            if last.lsn > self.flushed {
-                // Unflushed survivors are on media after all; credit them.
-                self.flushed_bytes += self
-                    .records
-                    .iter()
-                    .filter(|r| r.lsn > self.flushed)
-                    .map(|r| r.size)
-                    .sum::<u64>();
-            }
-            self.flushed = self.flushed.max(last.lsn);
+        if let Some(last) = self.records.last().map(|r| r.lsn) {
+            // Unflushed survivors are on media after all; credit them.
+            self.credit_unflushed(cut);
+            self.flushed = self.flushed.max(last);
         }
         self.generation += 1;
         TornTailReport { truncated, torn }
     }
 
     /// Marks a record as applied. Returns `false` if the LSN does not exist
-    /// (e.g. already truncated by a checkpoint).
+    /// (e.g. already truncated by a checkpoint, or torn away by a crash).
     pub fn mark_applied(&mut self, lsn: u64) -> bool {
         match self.records.binary_search_by_key(&lsn, |r| r.lsn) {
             Ok(idx) => {
                 self.records[idx].applied = true;
+                self.records_visited += 1;
                 true
             }
             Err(_) => false,
         }
-    }
-
-    /// Marks every record matching the predicate as applied and returns how
-    /// many records changed state.
-    pub fn mark_applied_where(&mut self, mut pred: impl FnMut(&R) -> bool) -> usize {
-        let mut n = 0;
-        for r in &mut self.records {
-            if !r.applied && pred(&r.payload) {
-                r.applied = true;
-                n += 1;
-            }
-        }
-        n
     }
 
     /// All records in LSN order.
@@ -324,6 +317,14 @@ impl<R: Clone> Wal<R> {
         self.bytes
     }
 
+    /// Records visited by scans and marked by LSN over the log's lifetime
+    /// (binary-search probes are not counted). Flush, mark and truncation
+    /// touch only the records they change; a crash and its recovery visit
+    /// the unflushed tail and the whole log respectively.
+    pub fn records_visited(&self) -> u64 {
+        self.records_visited
+    }
+
     /// Bytes the durable watermark has advanced over (lifetime flushed).
     /// Never exceeds [`Wal::bytes`]; the difference is whatever is still
     /// sitting in the crash-vulnerable unflushed suffix.
@@ -340,18 +341,13 @@ impl<R: Clone> Wal<R> {
     /// checkpointed state already reflects those records. The checkpoint is
     /// modeled atomic and durable, so the watermark advances with it.
     pub fn truncate_through(&mut self, up_to: u64) -> usize {
-        let before = self.records.len();
+        let end = self.first_above(up_to);
         // The checkpoint is modeled atomic and durable, so any unflushed
         // record it covers becomes durable with it.
-        self.flushed_bytes += self
-            .records
-            .iter()
-            .filter(|r| r.lsn > self.flushed && r.lsn <= up_to)
-            .map(|r| r.size)
-            .sum::<u64>();
-        self.records.retain(|r| r.lsn > up_to);
+        self.credit_unflushed(end);
+        self.records.drain(..end);
         self.flushed = self.flushed.max(up_to);
-        before - self.records.len()
+        end
     }
 }
 
@@ -461,15 +457,27 @@ mod tests {
     }
 
     #[test]
-    fn mark_applied_where_counts() {
+    fn hot_path_calls_visit_only_the_records_they_change() {
         let mut wal = Wal::new();
-        wal.append_sized(1u32, 4);
-        wal.append_sized(2, 4);
-        wal.append_sized(3, 4);
-        assert_eq!(wal.mark_applied_where(|v| *v % 2 == 1), 2);
-        assert_eq!(wal.unapplied().count(), 1);
-        // Already-applied records are not re-counted.
-        assert_eq!(wal.mark_applied_where(|_| true), 1);
+        for round in 1..=50u64 {
+            let lsn = wal.append_sized(round, 8);
+            assert_eq!(wal.flush(), 1);
+            assert!(wal.mark_applied(lsn));
+            // One visit to flush the new record, one to mark it: constant
+            // per append however long the log grows.
+            assert_eq!(wal.records_visited(), 2 * round);
+        }
+        assert_eq!(wal.unflushed_len(), 0);
+        // A lookup that finds nothing visits nothing.
+        assert!(!wal.mark_applied(999));
+        assert_eq!(wal.records_visited(), 100);
+        // A checkpoint credits only the unflushed records it covers.
+        wal.append_sized(51, 8);
+        wal.append_sized(52, 8);
+        assert_eq!(wal.truncate_through(51), 51);
+        assert_eq!(wal.records_visited(), 101);
+        assert_eq!(wal.flushed_bytes(), 51 * 8);
+        assert_eq!(wal.unflushed_len(), 1);
     }
 
     #[test]

@@ -481,16 +481,16 @@ impl ServerInner {
             return;
         }
         if let Some(per) = self.completed_ops.get_mut(&client) {
-            // Only rebuild the map when there is actually something to
-            // drop — this runs on every request.
-            if per
-                .first_key_value()
-                .is_some_and(|(seq, _)| *seq < acked_below)
-            {
-                *per = per.split_off(&acked_below);
-                if per.is_empty() {
-                    self.completed_ops.remove(&client);
+            // Pop in place: this runs on every request, and building a new
+            // map for the survivors would allocate on nearly every one.
+            while let Some(oldest) = per.first_entry() {
+                if *oldest.key() >= acked_below {
+                    break;
                 }
+                oldest.remove();
+            }
+            if per.is_empty() {
+                self.completed_ops.remove(&client);
             }
         }
     }
@@ -1474,7 +1474,7 @@ impl Server {
         // the media could still lose — and the record is applied from a
         // borrow of its WAL slot, one materialization instead of a deep
         // clone per logged operation.
-        let lsn = self.durable.borrow_mut().wal.append_sized(record, size);
+        let lsn = self.durable.borrow_mut().append(record, size);
         self.cpu.run(self.wal_append_cost() + kv_cost).await;
         let durable = &mut *self.durable.borrow_mut();
         let newly_flushed = durable.wal.flush();

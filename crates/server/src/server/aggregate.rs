@@ -250,12 +250,7 @@ impl Server {
             inner.push_timers.remove(&fp.raw());
             inner.stats.aggregations += 1;
         }
-        self.durable.borrow_mut().wal.mark_applied_where(|rec| {
-            rec.pending_entry
-                .as_ref()
-                .map(|(_, _, e)| own_ids.contains(&e.entry_id))
-                .unwrap_or(false)
-        });
+        self.durable.borrow_mut().mark_entries_applied(&own_ids);
         // The owner held (and just durably discarded) its own local entries:
         // holder and applier are the same server, so the discard confirms
         // itself and those ids retire into the bounded FIFO immediately.
@@ -551,12 +546,7 @@ impl Server {
                 let mut inner = self.inner.borrow_mut();
                 inner.changelogs.discard_applied_in_group(agg.fp, &sent_ids);
             }
-            self.durable.borrow_mut().wal.mark_applied_where(|rec| {
-                rec.pending_entry
-                    .as_ref()
-                    .map(|(_, _, e)| sent_ids.contains(&e.entry_id))
-                    .unwrap_or(false)
-            });
+            self.durable.borrow_mut().mark_entries_applied(&sent_ids);
             // The discard is durable (WAL records marked applied): this
             // holder can never re-send these entries, so tell the owner —
             // on the next message that flows there — to retire them from
@@ -669,12 +659,7 @@ impl Server {
                 inner.changelogs.discard_applied_in_group(fp, &ids);
             }
         }
-        self.durable.borrow_mut().wal.mark_applied_where(|rec| {
-            rec.pending_entry
-                .as_ref()
-                .map(|(_, _, e)| ids.contains(&e.entry_id))
-                .unwrap_or(false)
-        });
+        self.durable.borrow_mut().mark_entries_applied(&applied);
         // The discard is durable: confirm it — on the next outgoing message
         // — to the server that *sent this ack* (the one actually holding
         // the ids in its suppression set), not to the directory's current

@@ -644,12 +644,7 @@ impl Server {
                 log.discard_one(entry_id);
             }
         }
-        self.durable.borrow_mut().wal.mark_applied_where(|rec| {
-            rec.pending_entry
-                .as_ref()
-                .map(|(_, _, e)| e.entry_id == entry_id)
-                .unwrap_or(false)
-        });
+        self.durable.borrow_mut().mark_entries_applied(&[entry_id]);
     }
 
     /// Handles an `AsyncCommit` packet. Depending on where it arrives it is

@@ -7,6 +7,8 @@
 //! simulated crash; everything else is rebuilt by
 //! [`crate::server::Server::recover`].
 
+use std::collections::BTreeSet;
+
 use switchfs_kvstore::{Checkpoint, Wal};
 use switchfs_proto::message::{ClientResponse, ShardState, TxnOp};
 use switchfs_proto::{ChangeLogEntry, DirEntry, DirId, InodeAttrs, MetaKey, OpId, ServerId};
@@ -233,6 +235,13 @@ pub struct DurableState {
     pub wal: Wal<WalOp>,
     /// Optional checkpoint bounding replay (extension discussed in §7.7).
     pub checkpoint: Checkpoint<CheckpointData>,
+    /// `(entry id, LSN)` of every record appended through
+    /// [`DurableState::append`] whose deferred entry is not yet marked
+    /// applied, so an acknowledgment finds its records without scanning the
+    /// log. An LSN a checkpoint or a torn-tail recovery removed stays here
+    /// until its id is acknowledged; [`Wal::mark_applied`] then finds no
+    /// record and the stale pair is dropped.
+    pending: BTreeSet<(OpId, u64)>,
 }
 
 /// Snapshot stored by a checkpoint: the fully materialized volatile state as
@@ -256,6 +265,35 @@ impl DurableState {
     /// Creates an empty durable state.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Appends a record of `size` bytes and returns its LSN, indexing its
+    /// deferred entry for [`DurableState::mark_entries_applied`]. Every
+    /// record that carries a `pending_entry` must be appended here.
+    pub fn append(&mut self, record: WalOp, size: u64) -> u64 {
+        let id = record.pending_entry.as_ref().map(|(_, _, e)| e.entry_id);
+        let lsn = self.wal.append_sized(record, size);
+        if let Some(id) = id {
+            self.pending.insert((id, lsn));
+        }
+        lsn
+    }
+
+    /// Marks applied every live record whose deferred entry has one of
+    /// `ids` and returns how many records it marked. Costs O(log n) per
+    /// record found, whatever the length of the log.
+    pub fn mark_entries_applied<'a>(&mut self, ids: impl IntoIterator<Item = &'a OpId>) -> usize {
+        let mut marked = 0;
+        for &id in ids {
+            while let Some(&(found, lsn)) = self.pending.range((id, 0)..).next() {
+                if found != id {
+                    break;
+                }
+                self.pending.remove(&(id, lsn));
+                marked += usize::from(self.wal.mark_applied(lsn));
+            }
+        }
+        marked
     }
 }
 
@@ -302,6 +340,53 @@ mod tests {
         assert_eq!(durable.wal.unapplied().count(), 1);
         durable.wal.mark_applied(lsn);
         assert_eq!(durable.wal.unapplied().count(), 0);
+    }
+
+    #[test]
+    fn mark_entries_applied_marks_every_live_record_of_each_id() {
+        let mut durable = DurableState::new();
+        let pending = |seq| {
+            let mut entry = sample_entry();
+            entry.entry_id.seq = seq;
+            let mut record = WalOp::local(None, vec![]);
+            record.pending_entry = Some((DirId::ROOT, MetaKey::new(DirId::ROOT, ""), entry));
+            record
+        };
+        let id = |seq| OpId {
+            client: ClientId(1),
+            seq,
+        };
+        // Entry 1 is held by two live records (e.g. re-logged by a shard
+        // install); a record without a deferred entry is never indexed.
+        let a = durable.append(pending(1), 8);
+        let b = durable.append(pending(2), 8);
+        let c = durable.append(pending(1), 8);
+        let local = durable.append(WalOp::local(None, vec![]), 8);
+        assert_eq!(durable.mark_entries_applied(&[id(1), id(7)]), 2);
+        let applied: Vec<(u64, bool)> = durable
+            .wal
+            .records()
+            .iter()
+            .map(|r| (r.lsn, r.applied))
+            .collect();
+        assert_eq!(
+            applied,
+            vec![(a, true), (b, false), (c, true), (local, false)]
+        );
+        // Already-applied records are not re-counted.
+        assert_eq!(durable.mark_entries_applied(&[id(1)]), 0);
+        // A record a checkpoint dropped is a stale index entry: no mark.
+        durable.wal.truncate_through(b);
+        assert_eq!(durable.mark_entries_applied(&[id(2)]), 0);
+        // An id logged again after its ack is indexed afresh.
+        let d = durable.append(pending(1), 8);
+        assert_eq!(durable.mark_entries_applied(&[id(1)]), 1);
+        assert!(durable
+            .wal
+            .records()
+            .iter()
+            .all(|r| r.applied || r.lsn == local));
+        assert_eq!(durable.wal.records().last().unwrap().lsn, d);
     }
 
     #[test]

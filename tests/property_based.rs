@@ -253,6 +253,156 @@ proptest! {
     }
 }
 
+/// One step of the WAL bookkeeping script: `Append(Some(id), size)` logs a
+/// record deferring change-log entry `id`, `Mark` acknowledges a set of
+/// entry ids, `Truncate` checkpoints through an LSN.
+#[derive(Debug, Clone)]
+enum WalStep {
+    Append(Option<u8>, u8),
+    Flush,
+    Mark(Vec<u8>),
+    Crash(u64),
+    Recover,
+    Truncate(u8),
+}
+
+fn wal_step() -> impl Strategy<Value = WalStep> {
+    // Ids 6 and 7 stand for a record with no deferred entry; the append arm
+    // is listed twice so logs grow between the rarer crash steps.
+    let append = || {
+        (0u8..8, any::<u8>())
+            .prop_map(|(id, size)| WalStep::Append(Some(id).filter(|&id| id < 6), size))
+    };
+    prop_oneof![
+        append(),
+        append(),
+        Just(WalStep::Flush),
+        proptest::collection::vec(0u8..6, 0..4).prop_map(WalStep::Mark),
+        any::<u64>().prop_map(WalStep::Crash),
+        Just(WalStep::Recover),
+        any::<u8>().prop_map(WalStep::Truncate),
+    ]
+}
+
+/// The linear-scan WAL bookkeeping every call used to do: each flush,
+/// credit and mark walks the whole log.
+#[derive(Debug, Default)]
+struct ScanWal {
+    /// `(lsn, entry id, applied, size, intact)` in LSN order.
+    records: Vec<(u64, Option<u8>, bool, u64, bool)>,
+    flushed: u64,
+    flushed_bytes: u64,
+}
+
+impl ScanWal {
+    fn credit(&mut self, up_to: u64) {
+        let flushed = self.flushed;
+        self.flushed_bytes += self
+            .records
+            .iter()
+            .filter(|r| r.0 > flushed && r.0 <= up_to)
+            .map(|r| r.3)
+            .sum::<u64>();
+        self.flushed = flushed.max(up_to);
+    }
+}
+
+proptest! {
+    /// The tail-only flush, the binary-searched credits and the indexed
+    /// mark leave every record's `applied` flag, the watermark and the
+    /// flushed-byte count exactly where the whole-log scans left them,
+    /// across crashes, recoveries and checkpoints.
+    #[test]
+    fn indexed_marks_and_tail_flushes_match_a_linear_scan_model(
+        script in proptest::collection::vec(wal_step(), 1..150),
+    ) {
+        use switchfs::proto::MetaKey;
+        use switchfs::server::{DurableState, WalOp};
+
+        let entry_id = |id: u8| OpId { client: ClientId(3), seq: u64::from(id) };
+        let mut durable = DurableState::new();
+        let mut model = ScanWal::default();
+        for step in script {
+            match step {
+                WalStep::Append(id, size) => {
+                    let mut record = WalOp::local(None, Vec::new());
+                    record.pending_entry = id.map(|id| {
+                        let entry = ChangeLogEntry {
+                            entry_id: entry_id(id),
+                            dir: DirId::ROOT,
+                            name: format!("f{id}"),
+                            op: ChangeOp::Insert { file_type: FileType::File, mode: 0o644 },
+                            timestamp: 0,
+                        };
+                        (DirId::ROOT, MetaKey::new(DirId::ROOT, ""), entry)
+                    });
+                    let lsn = durable.append(record, u64::from(size));
+                    model.records.push((lsn, id, false, u64::from(size), true));
+                }
+                WalStep::Flush => {
+                    durable.wal.flush();
+                    model.credit(durable.wal.next_lsn() - 1);
+                }
+                WalStep::Mark(ids) => {
+                    let ops: Vec<OpId> = ids.iter().map(|&id| entry_id(id)).collect();
+                    let marked = durable.mark_entries_applied(&ops);
+                    let mut expect = 0;
+                    for r in &mut model.records {
+                        if !r.2 && r.1.is_some_and(|id| ids.contains(&id)) {
+                            r.2 = true;
+                            expect += 1;
+                        }
+                    }
+                    prop_assert_eq!(marked, expect);
+                }
+                WalStep::Crash(seed) => {
+                    // The device's fate draws are the real log's own; the
+                    // model copies which records survived and which tore.
+                    durable.wal.crash_apply(seed);
+                    let real = durable.wal.records();
+                    model.records.retain_mut(|r| {
+                        match real.binary_search_by_key(&r.0, |x| x.lsn) {
+                            Ok(i) => {
+                                r.4 = real[i].is_intact();
+                                true
+                            }
+                            Err(_) => false,
+                        }
+                    });
+                }
+                WalStep::Recover => {
+                    durable.wal.recover_truncate();
+                    let mut cut = 0;
+                    while cut < model.records.len()
+                        && model.records[cut].4
+                        && (cut == 0 || model.records[cut].0 == model.records[cut - 1].0 + 1)
+                    {
+                        cut += 1;
+                    }
+                    model.records.truncate(cut);
+                    if let Some(last) = model.records.last().map(|r| r.0) {
+                        model.credit(last);
+                    }
+                }
+                WalStep::Truncate(k) => {
+                    let up_to = u64::from(k) % durable.wal.next_lsn();
+                    durable.wal.truncate_through(up_to);
+                    model.credit(up_to);
+                    model.records.retain(|r| r.0 > up_to);
+                }
+            }
+            let real: Vec<(u64, bool)> =
+                durable.wal.records().iter().map(|r| (r.lsn, r.applied)).collect();
+            let expect: Vec<(u64, bool)> = model.records.iter().map(|r| (r.0, r.2)).collect();
+            prop_assert_eq!(real, expect);
+            prop_assert_eq!(durable.wal.flushed(), model.flushed);
+            prop_assert_eq!(durable.wal.flushed_bytes(), model.flushed_bytes);
+            let unflushed = model.records.iter().filter(|r| r.0 > model.flushed).count();
+            prop_assert_eq!(durable.wal.unflushed_len(), unflushed);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Epoch-versioned shard map ≡ modulo placement at epoch 0 (PR 4)
 // ---------------------------------------------------------------------------
